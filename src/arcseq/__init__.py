@@ -15,7 +15,6 @@ from .core import (
     Mapping,
     MatchConstraint,
     StructureLevel,
-    allowed,
     classify_structure,
     is_arc_preserving,
     validate_mapping,
@@ -61,7 +60,6 @@ __all__ = [
     "Mapping",
     "MatchConstraint",
     "StructureLevel",
-    "allowed",
     "classify_structure",
     "is_arc_preserving",
     "validate_mapping",

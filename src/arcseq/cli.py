@@ -23,7 +23,7 @@ from .errors import ArcseqError, BudgetError
 from .formats import load_annotated_sequence, load_graph, save_annotated_sequence
 from .reductions import REDUCTIONS, check_equivalence
 from .solvers import SearchBudget, solve
-from .sweep import SweepConfig, run_sweep
+from .sweep import SweepConfig, row_cells, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,30 +125,6 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _row_line(row) -> str:
-    def fmt(v):
-        if v is None:
-            return "skipped"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return str(v)
-
-    fields = [
-        ("graph_id", row.graph_id),
-        ("n", row.n),
-        ("m", row.m),
-        ("connected", row.connected),
-        ("k", row.k),
-        ("is_answer", row.is_answer),
-        ("lapcs_len", row.lapcs_len),
-        ("threshold", row.threshold),
-        ("lapcs_answer", row.lapcs_answer),
-        ("forward_ok", row.forward_ok),
-        ("backward_ok", row.backward_ok),
-    ]
-    return " ".join(f"{k}={fmt(v)}" for k, v in fields)
-
-
 def _cmd_verify(args) -> int:
     g = load_graph(args.graph)
     row = check_equivalence(
@@ -158,7 +134,7 @@ def _cmd_verify(args) -> int:
         graph_id=args.graph.stem,
         search_budget=_budget(args),
     )
-    print(_row_line(row))
+    print(" ".join(f"{name}={cell}" for name, cell in row_cells(row).items()))
     return EXIT_BUDGET if row.skipped else EXIT_OK
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "MatchConstraint",
     "classify_structure",
     "is_arc_preserving",
-    "allowed",
     "validate_mapping",
 ]
 
@@ -294,8 +293,3 @@ class MatchConstraint:
         if self.kind == "unconstrained":
             return "unconstrained"
         return f"{self.kind}({self.c})"
-
-
-def allowed(mc: MatchConstraint, i: int, j: int) -> bool:
-    """Whether the constraint permits matching position i of S1 to j of S2."""
-    return mc.allows(i, j)

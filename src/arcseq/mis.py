@@ -11,7 +11,18 @@ from typing import Iterable, Mapping as MappingABC, Set
 
 from .errors import BudgetError
 
-__all__ = ["lexmin_maximum_independent_set"]
+__all__ = ["adjacency", "lexmin_maximum_independent_set"]
+
+
+def adjacency(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> dict[int, set[int]]:
+    """Neighbour sets of an undirected graph, one (possibly empty) per vertex."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for p, q in edges:
+        adj[p].add(q)
+        adj[q].add(p)
+    return adj
 
 
 def lexmin_maximum_independent_set(

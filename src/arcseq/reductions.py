@@ -39,7 +39,7 @@ from .core import (
     validate_mapping,
 )
 from .errors import BudgetError, ValidationError
-from .mis import lexmin_maximum_independent_set
+from .mis import adjacency, lexmin_maximum_independent_set
 from .solvers import SearchBudget, solve
 
 __all__ = [
@@ -57,6 +57,7 @@ __all__ = [
     "independence_violations",
     "check_equivalence",
     "REDUCTIONS",
+    "ROW_FIELDS",
 ]
 
 
@@ -93,20 +94,10 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {j if i == v else i for i, j in self.edges if v in (i, j)}
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        adj = self.adjacency()
+        adj = adjacency(range(1, self.n + 1), self.edges)
         seen = {1}
         stack = [1]
         while stack:
@@ -156,8 +147,9 @@ def max_independent_set(
         raise BudgetError(
             f"graph with {g.n} vertices exceeds independent-set budget {max_vertices}"
         )
+    vertices = range(1, g.n + 1)
     size, members, _ = lexmin_maximum_independent_set(
-        range(1, g.n + 1), g.adjacency(), max_nodes=max_nodes
+        vertices, adjacency(vertices, g.edges), max_nodes=max_nodes
     )
     return MaxIndependentSet(size, members)
 
@@ -311,6 +303,23 @@ def extract_independent_set(inst: ReductionInstance, m: Mapping) -> frozenset[in
     return vertices
 
 
+# Report columns of an EquivalenceRow, in order: the sweep CSV, the CLI
+# verify line and the summary's counterexample entries all use this list.
+ROW_FIELDS = (
+    "graph_id",
+    "n",
+    "m",
+    "connected",
+    "k",
+    "is_answer",
+    "lapcs_len",
+    "threshold",
+    "lapcs_answer",
+    "forward_ok",
+    "backward_ok",
+)
+
+
 @dataclass(frozen=True)
 class EquivalenceRow:
     """One measured (graph, k) comparison between the two oracles.
@@ -362,28 +371,15 @@ class EquivalenceReport:
             "skipped": len(self.skipped_rows),
             "forward_failures": sum(1 for r in done if not r.forward_ok),
             "backward_failures": sum(1 for r in done if not r.backward_ok),
-            "counterexamples": [_row_dict(r) for r in self.counterexamples],
+            "counterexamples": [
+                {name: getattr(r, name) for name in ROW_FIELDS}
+                for r in self.counterexamples
+            ],
             "skipped_rows": [
                 {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason}
                 for r in self.skipped_rows
             ],
         }
-
-
-def _row_dict(r: EquivalenceRow) -> dict:
-    return {
-        "graph_id": r.graph_id,
-        "n": r.n,
-        "m": r.m,
-        "connected": r.connected,
-        "k": r.k,
-        "is_answer": r.is_answer,
-        "lapcs_len": r.lapcs_len,
-        "threshold": r.threshold,
-        "lapcs_answer": r.lapcs_answer,
-        "forward_ok": r.forward_ok,
-        "backward_ok": r.backward_ok,
-    }
 
 
 def default_graph_id(g: Graph) -> str:

@@ -7,7 +7,9 @@ Three routes, all exact:
   (fragment width 1 / diagonal width 0) reduce to maximum independent set on
   a conflict graph; when every position carries at most one arc per side the
   conflict graph has maximum degree 2, its components are paths and cycles,
-  and the optimum falls out in linear time.
+  and each component's optimum is a linear-time DP. The lexmin witness
+  reruns that DP once per vertex, so the witness step is quadratic in the
+  size of the largest component.
 * :func:`exact_search` -- pruned exhaustive search, the universal
   small-instance oracle.
 
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .core import AnnotatedSequence, Arc, Mapping, MatchConstraint
 from .errors import BudgetError, CapabilityError, InstanceError, WrongSolverError
-from .mis import lexmin_maximum_independent_set
+from .mis import adjacency, lexmin_maximum_independent_set
 
 __all__ = [
     "SearchBudget",
@@ -92,13 +94,6 @@ class ConflictGraph:
             degree[p] += 1
             degree[q] += 1
         return max(degree.values(), default=0)
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for p, q in self.edges:
-            adj[p].add(q)
-            adj[q].add(p)
-        return adj
 
 
 def _plain_string(s: str | AnnotatedSequence, side: str) -> str:
@@ -180,7 +175,14 @@ def build_conflict_graph(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Confli
         raise InstanceError(
             f"conflict graph needs equal lengths, got {len(a1)} and {len(a2)}"
         )
-    vertices = tuple(p for p in range(1, len(a1) + 1) if a1.base(p) == a2.base(p))
+    return _prefix_conflict_graph(a1, a2, len(a1))
+
+
+def _prefix_conflict_graph(
+    a1: AnnotatedSequence, a2: AnnotatedSequence, length: int
+) -> ConflictGraph:
+    """The conflict graph restricted to positions 1..length of both sequences."""
+    vertices = tuple(p for p in range(1, length + 1) if a1.base(p) == a2.base(p))
     vset = set(vertices)
     edges = frozenset(
         (p, q) for p, q in a1.arcs ^ a2.arcs if p in vset and q in vset
@@ -219,20 +221,6 @@ def _cycle_mis(order: list[int], forced: dict[int, bool]) -> float:
     return best
 
 
-def _walk_component(comp: set[int], adj: dict[int, set[int]]) -> tuple[list[int], bool]:
-    """Order a degree-<=2 component along its path or cycle."""
-    endpoints = sorted(v for v in comp if len(adj[v] & comp) <= 1)
-    is_cycle = not endpoints
-    cur = endpoints[0] if endpoints else min(comp)
-    order = [cur]
-    prev = None
-    while len(order) < len(comp):
-        nxt = min(u for u in adj[cur] & comp if u != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order, is_cycle
-
-
 def _lexmin_component_mis(order: list[int], is_cycle: bool) -> tuple[int, list[int]]:
     """Optimal size plus the lexicographically smallest optimal vertex set."""
     mis = _cycle_mis if is_cycle else _path_mis
@@ -253,8 +241,11 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     independent in the conflict graph. When both arc sets keep endpoints
     disjoint, every vertex has at most one incident arc per side, so the
     conflict graph decomposes into paths and cycles and the maximum
-    independent set is computed component by component in linear time
-    (the optimum equals candidates minus a minimum vertex cover).
+    independent set is computed component by component (the optimum equals
+    candidates minus a minimum vertex cover). Building the graph and
+    sizing the optimum take linear time; fixing the lexmin witness reruns
+    a component's DP once per vertex, which is O(L^2) for a component of
+    L vertices.
 
     Raises:
         InstanceError: unequal sequence lengths.
@@ -262,38 +253,40 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
             exact_search for those instances).
     """
     graph = build_conflict_graph(a1, a2)
-    adj = graph.adjacency()
     max_deg = graph.max_degree
     if max_deg > 2:
         raise CapabilityError(
             f"conflict graph has degree {max_deg} > 2; use exact_search()"
         )
+    adj = adjacency(graph.vertices, graph.edges)
 
     chosen: list[int] = []
     total = 0
     components = 0
     seen: set[int] = set()
-    for v in graph.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components += 1
-        if len(comp) == 1:
-            total += 1
-            chosen.append(v)
-            continue
-        order, is_cycle = _walk_component(comp, adj)
-        size, members = _lexmin_component_mis(order, is_cycle)
-        total += size
-        chosen.extend(members)
+    # Paths first, each walked from its smaller endpoint (degree <= 1);
+    # every vertex left after that lies on a cycle, walked from its smallest
+    # vertex. _lexmin_component_mis picks by label, not by walk order.
+    for is_cycle in (False, True):
+        for v in graph.vertices:
+            if v in seen or (not is_cycle and len(adj[v]) == 2):
+                continue
+            seen.add(v)
+            components += 1
+            if not adj[v]:
+                total += 1
+                chosen.append(v)
+                continue
+            order = [v]
+            step = adj[v] - seen
+            while step:
+                cur = min(step)
+                seen.add(cur)
+                order.append(cur)
+                step = adj[cur] - seen
+            size, members = _lexmin_component_mis(order, is_cycle)
+            total += size
+            chosen.extend(members)
 
     return SolveResult(
         length=total,
@@ -310,22 +303,24 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
 def _identity_exact(
     a1: AnnotatedSequence, a2: AnnotatedSequence, budget: SearchBudget
 ) -> SolveResult:
-    """Identity-constrained exhaustive search as maximum independent set."""
-    n = min(len(a1), len(a2))
-    candidates = [p for p in range(1, n + 1) if a1.base(p) == a2.base(p)]
-    cset = set(candidates)
-    adj: dict[int, set[int]] = {p: set() for p in candidates}
-    for p, q in a1.arcs ^ a2.arcs:
-        if p in cset and q in cset:
-            adj[p].add(q)
-            adj[q].add(p)
+    """Identity-constrained exhaustive search as maximum independent set.
+
+    Only the common prefix can be matched, so the conflict graph is built
+    over positions 1..min(len(a1), len(a2)).
+    """
+    graph = _prefix_conflict_graph(a1, a2, min(len(a1), len(a2)))
+    adj = adjacency(graph.vertices, graph.edges)
     size, members, nodes = lexmin_maximum_independent_set(
-        candidates, adj, max_nodes=budget.max_nodes
+        graph.vertices, adj, max_nodes=budget.max_nodes
     )
     return SolveResult(
         length=size,
         witness=Mapping.identity(members),
-        stats={"solver": "exact_search", "nodes": nodes, "candidates": len(candidates)},
+        stats={
+            "solver": "exact_search",
+            "nodes": nodes,
+            "candidates": len(graph.vertices),
+        },
     )
 
 
@@ -417,12 +412,15 @@ def solve(
     """Route an instance to the cheapest applicable exact solver.
 
     Arc-free unconstrained instances go to lcs_dp; identity-constrained
-    instances with conflict degree <= 2 go to diagonal_conflict_solve;
-    everything else goes to exact_search.
+    equal-length instances go to diagonal_conflict_solve, which decides
+    whether the conflict degree allows it; everything else, and every
+    instance it declines, goes to exact_search.
     """
     if not a1.arcs and not a2.arcs and mc.kind == "unconstrained":
         return lcs_dp(a1, a2)
     if mc.forces_identity() and len(a1) == len(a2):
-        if build_conflict_graph(a1, a2).max_degree <= 2:
+        try:
             return diagonal_conflict_solve(a1, a2)
+        except CapabilityError:
+            pass
     return exact_search(a1, a2, mc, budget)

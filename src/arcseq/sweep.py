@@ -21,16 +21,21 @@ from .reductions import (
     EquivalenceRow,
     Graph,
     REDUCTIONS,
+    ROW_FIELDS,
     check_equivalence,
 )
 from .solvers import SearchBudget, exact_search
 
-__all__ = ["SweepConfig", "CSV_HEADER", "run_sweep", "render_csv", "render_summary"]
+__all__ = [
+    "SweepConfig",
+    "CSV_HEADER",
+    "run_sweep",
+    "row_cells",
+    "render_csv",
+    "render_summary",
+]
 
-CSV_HEADER = (
-    "graph_id,n,m,connected,k,is_answer,lapcs_len,threshold,"
-    "lapcs_answer,forward_ok,backward_ok"
-)
+CSV_HEADER = ",".join(ROW_FIELDS)
 
 # Exhaustive enumeration blows up as 2^(n(n-1)/2); the T2 instances
 # additionally grow as n(n+2), hence the lower default cap.
@@ -135,10 +140,6 @@ def _ks(cfg: SweepConfig, n: int) -> list[int]:
     return [cfg.k_policy]
 
 
-def _identity_fits_budget(length: int, budget: SearchBudget) -> bool:
-    return length <= budget.max_identity_length
-
-
 def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     """Execute the sweep, spot-check rows, and write the configured outputs.
 
@@ -162,7 +163,7 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
             )
             if row_index % SPOT_CHECK_STRIDE == 0 and not row.skipped:
                 inst = reduce_fn(g, k)
-                if _identity_fits_budget(len(inst.a1), cfg.search_budget):
+                if len(inst.a1) <= cfg.search_budget.max_identity_length:
                     spot["sampled"] += 1
                     try:
                         redo = exact_search(inst.a1, inst.a2, inst.mc, cfg.search_budget)
@@ -186,7 +187,7 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     return report
 
 
-def _cell(value: bool | int | None) -> str:
+def _cell(value: bool | int | str | None) -> str:
     if value is None:
         return "skipped"
     if isinstance(value, bool):
@@ -194,26 +195,14 @@ def _cell(value: bool | int | None) -> str:
     return str(value)
 
 
+def row_cells(row: EquivalenceRow) -> dict[str, str]:
+    """The row's report text, keyed by field name in ROW_FIELDS order."""
+    return {name: _cell(getattr(row, name)) for name in ROW_FIELDS}
+
+
 def render_csv(report: EquivalenceReport) -> str:
     lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.graph_id,
-                    str(r.n),
-                    str(r.m),
-                    _cell(r.connected),
-                    str(r.k),
-                    _cell(r.is_answer),
-                    _cell(r.lapcs_len),
-                    str(r.threshold),
-                    _cell(r.lapcs_answer),
-                    _cell(r.forward_ok),
-                    _cell(r.backward_ok),
-                ]
-            )
-        )
+    lines.extend(",".join(row_cells(r).values()) for r in report.rows)
     return "\n".join(lines) + "\n"
 
 

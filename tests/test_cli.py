@@ -122,12 +122,19 @@ class TestReduce:
 class TestVerify:
     def test_triangle_counterexample_row(self, capsys, triangle_file):
         assert main(["verify", str(triangle_file), "2", "--theorem", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "lapcs_len=12" in out
-        assert "threshold=10" in out
-        assert "forward_ok=true" in out
-        assert "backward_ok=false" in out
-        assert "graph_id=triangle" in out
+        assert capsys.readouterr().out == (
+            "graph_id=triangle n=3 m=3 connected=true k=2 is_answer=false "
+            "lapcs_len=12 threshold=10 lapcs_answer=true forward_ok=true "
+            "backward_ok=false\n"
+        )
+
+    def test_theorem1_full_row(self, capsys, triangle_file):
+        assert main(["verify", str(triangle_file), "2", "--theorem", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "graph_id=triangle n=3 m=3 connected=true k=2 is_answer=false "
+            "lapcs_len=1 threshold=2 lapcs_answer=false forward_ok=true "
+            "backward_ok=true\n"
+        )
 
     def test_theorem1_row(self, capsys, triangle_file):
         assert main(["verify", str(triangle_file), "1", "--theorem", "1"]) == 0

@@ -10,7 +10,6 @@ from arcseq import (
     MatchConstraint,
     StructureLevel,
     ValidationError,
-    allowed,
     classify_structure,
     is_arc_preserving,
     validate_mapping,
@@ -199,20 +198,20 @@ def test_sub_mappings_of_preserving_mappings_preserve(case, data):
 class TestMatchConstraint:
     def test_fragment_one_forces_identity(self):
         mc = MatchConstraint.fragment(1)
-        assert allowed(mc, 3, 3) and not allowed(mc, 3, 4)
+        assert mc.allows(3, 3) and not mc.allows(3, 4)
 
     def test_diagonal_zero_forces_identity(self):
         mc = MatchConstraint.diagonal(0)
-        assert allowed(mc, 5, 5) and not allowed(mc, 5, 6)
+        assert mc.allows(5, 5) and not mc.allows(5, 6)
 
     def test_fragment_two_same_block(self):
         mc = MatchConstraint.fragment(2)
-        assert allowed(mc, 3, 4)
-        assert not allowed(mc, 2, 3)
+        assert mc.allows(3, 4)
+        assert not mc.allows(2, 3)
 
     def test_unconstrained_allows_everything(self):
         mc = MatchConstraint.unconstrained()
-        assert allowed(mc, 1, 99)
+        assert mc.allows(1, 99)
 
     def test_widths_validated(self):
         with pytest.raises(ValidationError):
@@ -224,6 +223,6 @@ class TestMatchConstraint:
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_identity_equivalence(self, i, j):
-        frag = allowed(MatchConstraint.fragment(1), i, j)
-        diag = allowed(MatchConstraint.diagonal(0), i, j)
+        frag = MatchConstraint.fragment(1).allows(i, j)
+        diag = MatchConstraint.diagonal(0).allows(i, j)
         assert frag == diag == (i == j)

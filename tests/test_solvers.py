@@ -245,6 +245,17 @@ class TestSolveDispatch:
         assert r.stats["solver"] == "exact_search"
         assert r.length == 3
 
+        # Arc (3, 4) reaches past the common prefix, so it adds no conflict.
+        a1 = AnnotatedSequence("aaaa", {(1, 2), (3, 4)})
+        a2 = AnnotatedSequence("aaa", {(2, 3)})
+        for mc in (FRAG1, MatchConstraint.diagonal(0)):
+            assert brute_lapcs(a1, a2, mc) == 2
+            for r in (solve(a1, a2, mc), exact_search(a1, a2, mc)):
+                assert r.stats["solver"] == "exact_search"
+                assert r.length == 2
+                assert r.witness.pairs == ((1, 1), (3, 3))
+                assert r.stats["candidates"] == 3
+
     def test_arcs_with_unconstrained_use_search(self):
         a1 = AnnotatedSequence("abab", {(1, 3)})
         r = solve(a1, AnnotatedSequence("abab"), UNC)
