@@ -40,6 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _k_policy(text: str) -> int | str:
+    if text == "all":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'all' or an integer, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="arcseq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"arcseq {__version__}")
@@ -73,7 +82,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--theorem", choices=("1", "2"), required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--k", default="all", help="'all' or a fixed integer (default: all)")
+    p.add_argument("--k", type=_k_policy, default="all",
+                   help="'all' or a fixed integer (default: all)")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="draw COUNT random graphs per vertex count instead of all")
     p.add_argument("--edge-prob", type=float, default=None)
@@ -139,11 +149,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    k_policy = args.k if args.k == "all" else int(args.k)
     cfg = SweepConfig(
         theorem=f"T{args.theorem}",
         n_range=(args.n_min, args.n_max),
-        k_policy=k_policy,
+        k_policy=args.k,
         graph_source="random" if args.random is not None else "exhaustive",
         random_count=args.random,
         edge_probability=args.edge_prob,

@@ -1,8 +1,14 @@
-"""Exact maximum independent set by branch and bound.
+"""Exact maximum independent set by bit-parallel branch and bound.
 
 Shared search engine: the graph-side oracle of the reduction checker and the
 identity-constrained path of the exhaustive solver are both maximum
 independent set problems over small vertex sets.
+
+Vertex sets are Python-int bitmasks over the vertices' ranks in sorted
+order, after the bit-parallel maximum-clique search of San Segundo et al.
+(2011), "An exact bit-parallel algorithm for the maximum clique problem",
+applied here to independent sets. The search keeps its own stack, so its
+depth is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -25,6 +31,26 @@ def adjacency(
     return adj
 
 
+def _clique_cover_size(cand: int, nbr: list[int], limit: int) -> int:
+    """Cliques in a greedy clique cover of cand, counted up to limit + 1.
+
+    Each clique starts at the lowest uncovered vertex and grows through the
+    lowest uncovered common neighbour. An independent set takes at most one
+    vertex per clique, so the count bounds it from above.
+    """
+    cliques = 0
+    while cand and cliques <= limit:
+        low = cand & -cand
+        cand ^= low
+        common = cand & nbr[low.bit_length() - 1]
+        while common:
+            low = common & -common
+            cand ^= low
+            common &= nbr[low.bit_length() - 1]
+        cliques += 1
+    return cliques
+
+
 def lexmin_maximum_independent_set(
     vertices: Iterable[int],
     neighbors: MappingABC[int, Set[int]],
@@ -32,9 +58,19 @@ def lexmin_maximum_independent_set(
 ) -> tuple[int, tuple[int, ...], int]:
     """Exact maximum independent set with a deterministic witness.
 
-    Vertices are explored in ascending label order, include-branch first,
-    with only strict improvements recorded, so the returned witness is the
+    Depth-first branch and bound on bitmasks. A node holds the chosen set
+    and ``cand``, the vertices at or after the current one that no chosen
+    vertex excludes. It branches on the lowest candidate, include-branch
+    first. Two admissible bounds prune a node that cannot strictly beat the
+    best set found so far: ``chosen + popcount(cand)``, then, only if that
+    fails, ``chosen`` plus the size of a greedy clique cover of ``cand``.
+    Vertices are explored in ascending label order and only strict
+    improvements are recorded, so the returned witness is the
     lexicographically smallest optimum (as a sorted label tuple).
+
+    Neighbour sets may list a vertex on one side only, or name labels
+    outside ``vertices``; edges are symmetrized and restricted to
+    ``vertices``.
 
     Returns:
         (size, witness, explored_node_count)
@@ -42,43 +78,36 @@ def lexmin_maximum_independent_set(
     Raises:
         BudgetError: more than max_nodes search nodes were explored.
     """
-    order = sorted(vertices)
-    vset = set(order)
-    adj = {v: {u for u in neighbors.get(v, ()) if u in vset and u != v} for v in order}
-    for v in order:
-        for u in adj[v]:
-            adj[u].add(v)
+    order = sorted(set(vertices))
+    rank = {v: i for i, v in enumerate(order)}
+    nbr = [0] * len(order)
+    for i, v in enumerate(order):
+        for u in neighbors.get(v, ()):
+            j = rank.get(u)
+            if j is not None and j != i:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
 
-    banned = dict.fromkeys(order, 0)
-    chosen: list[int] = []
-    best: list[int] = []
+    best_size, best_set = 0, 0
     nodes = 0
-
-    def dfs(idx: int) -> None:
-        nonlocal nodes, best
+    stack = [((1 << len(order)) - 1, 0, 0)]
+    while stack:
+        cand, size, chosen = stack.pop()
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetError(
                 f"independent-set search exceeded {max_nodes} nodes"
             )
-        if idx == len(order):
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        # Admissible bound: everything not yet excluded could still be taken.
-        free = sum(1 for v in order[idx:] if banned[v] == 0)
-        if len(chosen) + free <= len(best):
-            return
-        v = order[idx]
-        if banned[v] == 0:
-            chosen.append(v)
-            for u in adj[v]:
-                banned[u] += 1
-            dfs(idx + 1)
-            for u in adj[v]:
-                banned[u] -= 1
-            chosen.pop()
-        dfs(idx + 1)
+        if not cand:
+            if size > best_size:
+                best_size, best_set = size, chosen
+            continue
+        slack = best_size - size
+        if cand.bit_count() <= slack or _clique_cover_size(cand, nbr, slack) <= slack:
+            continue
+        low = cand & -cand
+        stack.append((cand ^ low, size, chosen))
+        stack.append(((cand & ~nbr[low.bit_length() - 1]) ^ low, size + 1, chosen | low))
 
-    dfs(0)
-    return len(best), tuple(best), nodes
+    witness = tuple(v for i, v in enumerate(order) if best_set >> i & 1)
+    return best_size, witness, nodes

@@ -20,7 +20,8 @@ same-position matching:
 The construction's backward direction is treated as an empirical question:
 :func:`check_equivalence` measures both implications per (graph, k) pair
 with exact oracles on both sides, and reports disagreements rather than
-assuming them away.
+assuming them away. A :class:`GraphOracles` shared by the rows of one graph
+computes each oracle result once per graph and per distinct reduced instance.
 """
 
 from __future__ import annotations
@@ -389,6 +390,51 @@ def default_graph_id(g: Graph) -> str:
 REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 
 
+class GraphOracles:
+    """One graph's oracle results, computed on first use and kept for every k.
+
+    Connectivity and the maximum independent set do not depend on k, and the
+    T1 instance (like the T2 instance for k <= n) depends on k only through
+    its threshold. Passing one GraphOracles to :func:`check_equivalence` for
+    every k of a graph therefore runs the graph oracle once and the sequence
+    oracle once per distinct reduced instance. A budget error is kept too,
+    and raised again for every row that needs the failed result.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._results: dict[tuple, object] = {}
+
+    def connected(self) -> bool:
+        return self._memo(("connected",), self.graph.is_connected)
+
+    def instance(self, theorem: str, k: int) -> ReductionInstance:
+        return self._memo(("reduce", theorem, k), lambda: REDUCTIONS[theorem](self.graph, k))
+
+    def independence_number(self, max_vertices: int) -> int:
+        return self._memo(
+            ("alpha", max_vertices),
+            lambda: max_independent_set(self.graph, max_vertices=max_vertices).size,
+        )
+
+    def lapcs_length(self, inst: ReductionInstance, budget: SearchBudget | None) -> int:
+        return self._memo(
+            ("lapcs", inst.a1, inst.a2, inst.mc, budget),
+            lambda: solve(inst.a1, inst.a2, inst.mc, budget=budget).length,
+        )
+
+    def _memo(self, key: tuple, compute):
+        if key not in self._results:
+            try:
+                self._results[key] = compute()
+            except BudgetError as exc:
+                self._results[key] = exc
+        value = self._results[key]
+        if isinstance(value, BudgetError):
+            raise value.with_traceback(None)
+        return value
+
+
 def check_equivalence(
     g: Graph,
     k: int,
@@ -396,28 +442,35 @@ def check_equivalence(
     graph_id: str | None = None,
     search_budget: SearchBudget | None = None,
     mis_max_vertices: int = 20,
+    oracles: GraphOracles | None = None,
 ) -> EquivalenceRow:
     """Measure both directions of a reduction's claimed equivalence.
 
     Computes max-IS >= k with the graph oracle and LAPCS >= threshold with
     the sequence oracle, then records whether each implies the other.
     Budget errors on either side mark the row skipped instead of failing.
+    Rows of the same graph may share one :class:`GraphOracles`, built for
+    that graph, so that each oracle result is computed once.
     """
     if theorem not in REDUCTIONS:
         raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
+    if oracles is None:
+        oracles = GraphOracles(g)
+    elif oracles.graph != g:
+        raise ValidationError("oracles were built for another graph")
     gid = graph_id if graph_id is not None else default_graph_id(g)
-    inst = REDUCTIONS[theorem](g, k)
+    inst = oracles.instance(theorem, k)
     base = {
         "graph_id": gid,
         "n": g.n,
         "m": g.m,
-        "connected": g.is_connected(),
+        "connected": oracles.connected(),
         "k": k,
         "threshold": inst.threshold,
     }
     try:
-        mis = max_independent_set(g, max_vertices=mis_max_vertices)
-        result = solve(inst.a1, inst.a2, inst.mc, budget=search_budget)
+        alpha = oracles.independence_number(mis_max_vertices)
+        length = oracles.lapcs_length(inst, search_budget)
     except BudgetError as exc:
         return EquivalenceRow(
             **base,
@@ -429,12 +482,12 @@ def check_equivalence(
             skipped=True,
             skip_reason=str(exc),
         )
-    is_answer = mis.size >= k
-    lapcs_answer = result.length >= inst.threshold
+    is_answer = alpha >= k
+    lapcs_answer = length >= inst.threshold
     return EquivalenceRow(
         **base,
         is_answer=is_answer,
-        lapcs_len=result.length,
+        lapcs_len=length,
         lapcs_answer=lapcs_answer,
         forward_ok=(not is_answer) or lapcs_answer,
         backward_ok=(not lapcs_answer) or is_answer,

@@ -1,8 +1,10 @@
 """Sweep orchestration: equivalence checks over graph families, CSV/JSON reports.
 
 A sweep walks a family of graphs (exhaustive over all labeled graphs per
-vertex count, or seeded random draws), runs the equivalence check for each
-(graph, k) pair, and emits a CSV of rows plus a JSON summary. Outputs are
+vertex count, or seeded random draws), measures the equivalence row of each
+(graph, k) pair, and emits a CSV of rows plus a JSON summary. Each graph is
+evaluated once for all its k: the graph oracle runs once per graph and the
+sequence oracle once per distinct reduced instance. Outputs are
 byte-identical across runs for the same configuration and seed.
 """
 
@@ -20,6 +22,7 @@ from .reductions import (
     EquivalenceReport,
     EquivalenceRow,
     Graph,
+    GraphOracles,
     REDUCTIONS,
     ROW_FIELDS,
     check_equivalence,
@@ -76,8 +79,12 @@ class SweepConfig:
                 raise ValidationError("fixed k must be >= 1")
         elif self.k_policy != "all":
             raise ValidationError("k_policy must be 'all' or a positive integer")
+        if self.max_exhaustive_n is not None and self.max_exhaustive_n < 1:
+            raise ValidationError("max_exhaustive_n must be >= 1")
         if self.graph_source == "exhaustive":
-            cap = self.max_exhaustive_n or DEFAULT_EXHAUSTIVE_CAP[self.theorem]
+            cap = self.max_exhaustive_n
+            if cap is None:
+                cap = DEFAULT_EXHAUSTIVE_CAP[self.theorem]
             if hi > cap:
                 raise ValidationError(
                     f"exhaustive sweeps for {self.theorem} are capped at n <= {cap}; "
@@ -143,15 +150,18 @@ def _ks(cfg: SweepConfig, n: int) -> list[int]:
 def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     """Execute the sweep, spot-check rows, and write the configured outputs.
 
-    Every tenth completed row is recomputed with the exhaustive solver; a
-    disagreement with the recorded value aborts the run. Rows skipped for
-    budget reasons are kept in the report and the summary.
+    Each graph is evaluated once for all its k: its rows share one
+    :class:`arcseq.reductions.GraphOracles`, so there is one
+    independent-set search per graph and one solve per distinct reduced
+    instance, not one of each per (graph, k) row. Every tenth completed row
+    is recomputed with the exhaustive solver; a disagreement with the
+    recorded value aborts the run. Rows skipped for budget reasons are kept
+    in the report and the summary.
     """
-    reduce_fn = REDUCTIONS[cfg.theorem]
     rows: list[EquivalenceRow] = []
     spot = {"sampled": 0, "verified": 0, "budget_skipped": 0}
-    row_index = 0
     for gid, g in _iter_graphs(cfg):
+        oracles = GraphOracles(g)
         for k in _ks(cfg, g.n):
             row = check_equivalence(
                 g,
@@ -160,9 +170,10 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
                 graph_id=gid,
                 search_budget=cfg.search_budget,
                 mis_max_vertices=cfg.mis_max_vertices,
+                oracles=oracles,
             )
-            if row_index % SPOT_CHECK_STRIDE == 0 and not row.skipped:
-                inst = reduce_fn(g, k)
+            if len(rows) % SPOT_CHECK_STRIDE == 0 and not row.skipped:
+                inst = oracles.instance(cfg.theorem, k)
                 if len(inst.a1) <= cfg.search_budget.max_identity_length:
                     spot["sampled"] += 1
                     try:
@@ -177,7 +188,6 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
                             )
                         spot["verified"] += 1
             rows.append(row)
-            row_index += 1
 
     report = EquivalenceReport(cfg.theorem, rows)
     if cfg.output_csv is not None:

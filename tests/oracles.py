@@ -82,6 +82,21 @@ def brute_max_independent_set(n: int, edges) -> int:
     return best
 
 
+def brute_lexmin_independent_set(vertices, edges) -> tuple[int, tuple[int, ...]]:
+    """Largest independent set, lexicographically smallest among the largest.
+
+    Subsets are tried largest first, each size in lexicographic order of the
+    sorted labels, and the first independent one is returned.
+    """
+    vs = sorted(set(vertices))
+    conflicts = {frozenset(e) for e in edges}
+    for r in range(len(vs), 0, -1):
+        for combo in itertools.combinations(vs, r):
+            if all(frozenset(pair) not in conflicts for pair in itertools.combinations(combo, 2)):
+                return r, combo
+    return 0, ()
+
+
 def brute_min_vertex_cover(vertices, edges) -> int:
     vs = sorted(vertices)
     for r in range(0, len(vs) + 1):

@@ -185,6 +185,19 @@ class TestSweep:
         assert code == 1
         assert "capped" in capsys.readouterr().err
 
+    def test_zero_exhaustive_cap_rejected(self, tmp_path, capsys):
+        code = main(["sweep", "--theorem", "1", "--n-max", "3", "--max-exhaustive-n", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "max_exhaustive_n" in capsys.readouterr().err
+
+    def test_non_integer_k_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["sweep", "--theorem", "1", "--n-max", "2", "--k", "foo",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("arcseq: error: argument --k")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -1,0 +1,49 @@
+"""The bitset independent-set engine against the unpruned lexmin oracle."""
+
+import random
+
+import pytest
+
+from arcseq import BudgetError
+from arcseq.generate import exhaustive_graphs
+from arcseq.mis import adjacency, lexmin_maximum_independent_set
+
+from oracles import brute_lexmin_independent_set
+
+
+def test_every_labelled_graph_up_to_n5():
+    for n in range(6):
+        vertices = range(1, n + 1)
+        for _, g in exhaustive_graphs(n):
+            size, witness, _ = lexmin_maximum_independent_set(
+                vertices, adjacency(vertices, g.edges)
+            )
+            assert (size, witness) == brute_lexmin_independent_set(vertices, g.edges)
+
+
+def test_seeded_graphs_with_sparse_labels_and_one_sided_neighbours():
+    rng = random.Random(20111)
+    for _ in range(150):
+        n = rng.randint(0, 14)
+        vertices = rng.sample(range(-20, 60), n)
+        p = rng.choice((0.15, 0.35, 0.6))
+        edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < p]
+        # Each edge listed under one endpoint only, plus self-loops and
+        # neighbours outside the vertex set, which the engine must ignore.
+        neighbors = {}
+        for u, v in edges:
+            a, b = (u, v) if rng.random() < 0.5 else (v, u)
+            neighbors.setdefault(a, set()).add(b)
+        for v in vertices[: n // 3]:
+            neighbors.setdefault(v, set()).update({v, 1000 + v})
+        size, witness, _ = lexmin_maximum_independent_set(vertices, neighbors)
+        assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
+
+
+def test_node_budget():
+    vertices = range(1, 8)
+    star = adjacency(vertices, [(1, v) for v in range(2, 8)])
+    _, _, nodes = lexmin_maximum_independent_set(vertices, star)
+    assert lexmin_maximum_independent_set(vertices, star, max_nodes=nodes)[0] == 6
+    with pytest.raises(BudgetError, match="exceeded"):
+        lexmin_maximum_independent_set(vertices, star, max_nodes=nodes - 1)

@@ -21,7 +21,7 @@ from arcseq import (
     solve,
 )
 from arcseq.generate import exhaustive_graphs
-from arcseq.reductions import IndependenceViolationWarning, Provenance
+from arcseq.reductions import GraphOracles, IndependenceViolationWarning, Provenance
 
 from oracles import brute_max_independent_set
 
@@ -259,6 +259,21 @@ class TestCheckEquivalence:
         assert row.skipped and "budget" in row.skip_reason
         assert row.is_answer is None and row.lapcs_len is None
         assert row.threshold == 1
+
+    def test_shared_oracles_give_the_same_rows(self):
+        for theorem in ("T1", "T2"):
+            for budget in ({}, {"mis_max_vertices": 2}):
+                oracles = GraphOracles(TRIANGLE)
+                shared = [
+                    check_equivalence(TRIANGLE, k, theorem, oracles=oracles, **budget)
+                    for k in (1, 2, 3, 4)
+                ]
+                fresh = [check_equivalence(TRIANGLE, k, theorem, **budget) for k in (1, 2, 3, 4)]
+                assert shared == fresh
+
+    def test_oracles_of_another_graph_rejected(self):
+        with pytest.raises(ValidationError, match="another graph"):
+            check_equivalence(TRIANGLE, 1, "T1", oracles=GraphOracles(PATH3))
 
     def test_theorem_name_validated(self):
         with pytest.raises(ValidationError):

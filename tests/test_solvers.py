@@ -204,6 +204,15 @@ class TestExactSearch:
             exact_search(a, a, FRAG1)
         assert exact_search(a, a, FRAG1, SearchBudget(max_identity_length=65)).length == 65
 
+    def test_identity_search_on_a_long_conflict_path(self):
+        # One conflict path of 1200 vertices: deeper than the recursion limit.
+        length = 1200
+        a1 = AnnotatedSequence("a" * length, {(p, p + 1) for p in range(1, length, 2)})
+        a2 = AnnotatedSequence("a" * length, {(p, p + 1) for p in range(2, length, 2)})
+        r = exact_search(a1, a2, FRAG1, SearchBudget(max_identity_length=5000))
+        assert r.length == 600
+        assert r.witness.pairs == tuple((p, p) for p in range(1, length, 2))
+
     def test_node_budget(self):
         a = AnnotatedSequence("abab")
         with pytest.raises(BudgetError):

@@ -1,12 +1,84 @@
 """Sweep orchestration: determinism, skip handling, report files."""
 
+import hashlib
 import json
 
 import pytest
 
-from arcseq import ValidationError
+from arcseq import ValidationError, check_equivalence, reductions
+from arcseq.generate import exhaustive_graphs
 from arcseq.solvers import SearchBudget
 from arcseq.sweep import CSV_HEADER, SweepConfig, render_csv, run_sweep
+
+# sha256 of the CSV and the summary JSON of the exhaustive all-k sweeps,
+# captured before the sweep evaluated each graph once for all k.
+PINNED_DIGESTS = {
+    ("T1", 5): (
+        "79998620d3eb9611f3d2d595b2cbe0ba5bec5267dd030da21a16f17f230aa159",
+        "8368715d1d9236ed420c70a6727a787826d7a3e200247eaebddcc30729496345",
+    ),
+    ("T2", 4): (
+        "96b1c59f8cc3d9da9c4326f8aab986b6132b52bd279aca0d192f659627078a1a",
+        "a1219544391fdbe260896bc09516226b502984454d2330d959873d32206aae65",
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem,n_max", sorted(PINNED_DIGESTS))
+def test_exhaustive_outputs_match_pinned_bytes(tmp_path, theorem, n_max):
+    csv = tmp_path / "sweep.csv"
+    run_sweep(SweepConfig(theorem, (1, n_max), output_csv=csv))
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (csv, csv.with_suffix(".summary.json"))
+    )
+    assert digests == PINNED_DIGESTS[(theorem, n_max)]
+
+
+@pytest.mark.parametrize(
+    "theorem,k_policy,budget",
+    [
+        ("T1", "all", {}),
+        ("T2", "all", {}),
+        ("T2", 3, {}),  # k > n for n < 3: the T2 case I instance
+        ("T1", "all", {"mis_max_vertices": 2}),
+        ("T1", "all", {"search_budget": SearchBudget(max_nodes=1)}),
+    ],
+)
+def test_rows_equal_one_check_per_graph_and_k(theorem, k_policy, budget):
+    report = run_sweep(SweepConfig(theorem, (1, 4), k_policy=k_policy, **budget))
+    expected = [
+        check_equivalence(g, k, theorem, graph_id=f"g{n}-{mask}", **budget)
+        for n in range(1, 5)
+        for mask, g in exhaustive_graphs(n)
+        for k in (range(1, n + 1) if k_policy == "all" else [k_policy])
+    ]
+    assert report.rows == expected
+
+
+@pytest.mark.parametrize(
+    "theorem,k_policy,n_max,graphs,rows",
+    [("T1", "all", 4, 75, 285), ("T2", "all", 3, 11, 29), ("T2", 3, 4, 75, 75)],
+)
+def test_each_oracle_runs_once_per_graph(monkeypatch, theorem, k_policy, n_max, graphs, rows):
+    calls = {"mis": 0, "solve": 0, "reduce": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    mis, solve, reduce = (
+        reductions.max_independent_set, reductions.solve, reductions.REDUCTIONS[theorem])
+    monkeypatch.setattr(reductions, "max_independent_set", counted("mis", mis))
+    monkeypatch.setattr(reductions, "solve", counted("solve", solve))
+    monkeypatch.setitem(reductions.REDUCTIONS, theorem, counted("reduce", reduce))
+    report = run_sweep(SweepConfig(theorem, (1, n_max), k_policy=k_policy))
+    assert len(report.rows) == rows
+    # Spot checks reuse the row's instance instead of reducing again.
+    assert calls == {"mis": graphs, "solve": graphs, "reduce": rows}
 
 
 def test_theorem1_exhaustive_n3_has_no_failures(tmp_path):
@@ -95,6 +167,8 @@ def test_exhaustive_caps_enforced():
     with pytest.raises(ValidationError, match="capped"):
         SweepConfig("T2", (1, 5))
     SweepConfig("T2", (1, 5), max_exhaustive_n=5)
+    with pytest.raises(ValidationError, match="max_exhaustive_n"):
+        SweepConfig("T1", (1, 3), max_exhaustive_n=0)
 
 
 def test_k_policy_fixed():
