@@ -120,15 +120,16 @@ def _no_shared_endpoints(arcs: frozenset[Arc]) -> bool:
 
 
 def _no_crossing(arcs: frozenset[Arc]) -> bool:
-    ordered = sorted(arcs)
-    for a in range(len(ordered)):
-        a1, a2 = ordered[a]
-        for b in range(a + 1, len(ordered)):
-            b1, b2 = ordered[b]
-            if (b1 <= a1 <= b2) != (b1 <= a2 <= b2):
-                return False
-            if (a1 <= b1 <= a2) != (a1 <= b2 <= a2):
-                return False
+    # Sound only for arcs with pairwise distinct endpoints, which
+    # classify_structure establishes first: then each position opens or
+    # closes at most one arc, and no two arcs cross exactly when every right
+    # endpoint closes the innermost arc still open.
+    open_arcs: list[Arc] = []
+    for p, arc in sorted((p, arc) for arc in arcs for p in arc):
+        if p == arc[0]:
+            open_arcs.append(arc)
+        elif open_arcs.pop() != arc:
+            return False
     return True
 
 

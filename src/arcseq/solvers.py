@@ -7,9 +7,7 @@ Three routes, all exact:
   (fragment width 1 / diagonal width 0) reduce to maximum independent set on
   a conflict graph; when every position carries at most one arc per side the
   conflict graph has maximum degree 2, its components are paths and cycles,
-  and each component's optimum is a linear-time DP. The lexmin witness
-  reruns that DP once per vertex, so the witness step is quadratic in the
-  size of the largest component.
+  and each component's lexmin optimum takes one sort plus linear passes.
 * :func:`exact_search` -- pruned exhaustive search, the universal
   small-instance oracle.
 
@@ -190,47 +188,38 @@ def _prefix_conflict_graph(
     return ConflictGraph(vertices, edges)
 
 
-def _path_mis(order: list[int], forced: dict[int, bool]) -> float:
-    """Max independent set size along a path, honoring forced in/out states."""
-    neg = float("-inf")
-    v = order[0]
-    take = 1 if forced.get(v) is not False else neg
-    skip = 0 if forced.get(v) is not True else neg
-    for v in order[1:]:
-        take2 = skip + 1 if forced.get(v) is not False else neg
-        skip2 = max(take, skip) if forced.get(v) is not True else neg
-        take, skip = take2, skip2
-    return max(take, skip)
+def _lexmin_path_mis(order: list[int]) -> list[int]:
+    """Lexicographically smallest maximum independent set of a walked path.
 
+    Vertices are decided in ascending label order, each taken when some
+    maximum independent set extends the decisions so far. The decided
+    vertices nearest to walk index i are its nearest smaller-label
+    neighbours on each side (one monotone-stack pass). They bound the free
+    run [lo, hi] around i: one past a skipped neighbour, two past a taken
+    one. A free path of odd length has exactly one maximum independent set
+    (the even offsets), and in an even one every vertex lies in some
+    maximum independent set, so i is taken iff it is free and hi - lo + 1 or
+    i - lo is even. The labels need not rise along the walk.
+    """
+    size = len(order)
+    left = [-1] * size
+    right = [size] * size
+    stack: list[int] = []
+    for i, label in enumerate(order):
+        while stack and order[stack[-1]] > label:
+            right[stack.pop()] = i
+        if stack:
+            left[i] = stack[-1]
+        stack.append(i)
 
-def _cycle_mis(order: list[int], forced: dict[int, bool]) -> float:
-    first, second, last = order[0], order[1], order[-1]
-    best = float("-inf")
-    if forced.get(first) is not True:
-        f = dict(forced)
-        f[first] = False
-        best = max(best, _path_mis(order, f))
-    if (
-        forced.get(first) is not False
-        and forced.get(second) is not True
-        and forced.get(last) is not True
-    ):
-        f = dict(forced)
-        f.update({first: True, second: False, last: False})
-        best = max(best, _path_mis(order, f))
-    return best
-
-
-def _lexmin_component_mis(order: list[int], is_cycle: bool) -> tuple[int, list[int]]:
-    """Optimal size plus the lexicographically smallest optimal vertex set."""
-    mis = _cycle_mis if is_cycle else _path_mis
-    target = mis(order, {})
-    forced: dict[int, bool] = {}
-    for v in sorted(order):
-        forced[v] = True
-        if mis(order, forced) != target:
-            forced[v] = False
-    return int(target), sorted(v for v in order if forced[v])
+    taken = [False] * size
+    for i in sorted(range(size), key=order.__getitem__):
+        a, b = left[i], right[i]
+        lo = a + 2 if a >= 0 and taken[a] else a + 1
+        hi = b - 2 if b < size and taken[b] else b - 1
+        if lo <= i <= hi and ((hi - lo) % 2 or (i - lo) % 2 == 0):
+            taken[i] = True
+    return [v for v, t in zip(order, taken) if t]
 
 
 def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> SolveResult:
@@ -242,10 +231,9 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     disjoint, every vertex has at most one incident arc per side, so the
     conflict graph decomposes into paths and cycles and the maximum
     independent set is computed component by component (the optimum equals
-    candidates minus a minimum vertex cover). Building the graph and
-    sizing the optimum take linear time; fixing the lexmin witness reruns
-    a component's DP once per vertex, which is O(L^2) for a component of
-    L vertices.
+    candidates minus a minimum vertex cover). Building the graph takes
+    linear time; the lexmin witness of a component of L vertices takes one
+    sort, O(L log L), plus linear passes.
 
     Raises:
         InstanceError: unequal sequence lengths.
@@ -261,12 +249,11 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     adj = adjacency(graph.vertices, graph.edges)
 
     chosen: list[int] = []
-    total = 0
     components = 0
     seen: set[int] = set()
     # Paths first, each walked from its smaller endpoint (degree <= 1);
     # every vertex left after that lies on a cycle, walked from its smallest
-    # vertex. _lexmin_component_mis picks by label, not by walk order.
+    # vertex. _lexmin_path_mis picks by label, not by walk order.
     for is_cycle in (False, True):
         for v in graph.vertices:
             if v in seen or (not is_cycle and len(adj[v]) == 2):
@@ -274,7 +261,6 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
             seen.add(v)
             components += 1
             if not adj[v]:
-                total += 1
                 chosen.append(v)
                 continue
             order = [v]
@@ -284,12 +270,15 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
                 seen.add(cur)
                 order.append(cur)
                 step = adj[cur] - seen
-            size, members = _lexmin_component_mis(order, is_cycle)
-            total += size
-            chosen.extend(members)
+            # A cycle has a maximum independent set through each vertex;
+            # taking its smallest, v = order[0], leaves the path order[2:-1].
+            if is_cycle:
+                chosen.append(v)
+                order = order[2:-1]
+            chosen += _lexmin_path_mis(order)
 
     return SolveResult(
-        length=total,
+        length=len(chosen),
         witness=Mapping.identity(chosen),
         stats={
             "solver": "diagonal_conflict",
@@ -367,7 +356,8 @@ def exact_search(
     nodes = 0
     max_nodes = budget.max_nodes
 
-    def dfs(last_i: int, last_j: int) -> None:
+    def node(last_i: int, last_j: int):
+        """One search node; yields each child pair in visit order."""
         nonlocal nodes, best, best_len
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -385,17 +375,25 @@ def exact_search(
                     break
                 if s1[i - 1] != s2[j - 1] or not mc.allows(i, j):
                     continue
-                ok = True
                 for pi, pj in cur:
                     if ((pi, i) in p1) != ((pj, j) in p2):
-                        ok = False
                         break
-                if ok:
-                    cur.append((i, j))
-                    dfs(i, j)
-                    cur.pop()
+                else:
+                    yield i, j
 
-    dfs(0, 0)
+    # Depth-first on an explicit stack of suspended nodes, so the depth is
+    # not bounded by the interpreter's recursion limit; stack[d] is the node
+    # reached by cur[:d].
+    stack = [node(0, 0)]
+    while stack:
+        pair = next(stack[-1], None)
+        if pair is None:
+            stack.pop()
+            if cur:
+                cur.pop()
+        else:
+            cur.append(pair)
+            stack.append(node(*pair))
     return SolveResult(
         length=best_len,
         witness=Mapping(tuple(best)),

@@ -1,5 +1,7 @@
 """Data model: canonicalization, classification, arc preservation, constraints."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from arcseq import (
     is_arc_preserving,
     validate_mapping,
 )
+from arcseq.generate import random_arcs
 
 from oracles import oracle_level
 
@@ -66,6 +69,31 @@ class TestClassifyStructure:
     def test_shared_endpoint_chain_like_still_unlimited(self):
         # (1,3),(3,5) fails endpoint sharing even though it never nests.
         assert classify_structure({(1, 3), (3, 5)}, 5) is StructureLevel.UNLIMITED
+
+    def test_endpoint_disjoint_arcs_match_quantifier_oracle(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(2, 30)
+            level = rng.choice((StructureLevel.NESTED, StructureLevel.CROSSING))
+            arcs = random_arcs(rng, n, level, rng.uniform(0.1, 0.5))
+            free = sorted(set(range(1, n + 1)) - {p for arc in arcs for p in arc})
+            if len(free) >= 2 and rng.random() < 0.5:
+                arcs.add(tuple(sorted(rng.sample(free, 2))))
+            got = classify_structure(arcs, n)
+            assert got is oracle_level(arcs)
+            seen.add(got)
+        assert seen >= {StructureLevel.CHAIN, StructureLevel.NESTED, StructureLevel.CROSSING}
+
+    def test_crossing_pair_after_many_nested_arcs(self):
+        arcs = set()
+        for base in range(0, 8000, 8):
+            arcs |= {(base + 1, base + 8), (base + 2, base + 5), (base + 3, base + 4),
+                     (base + 6, base + 7)}
+        assert len(arcs) == 4000
+        assert classify_structure(arcs, 8004) is StructureLevel.NESTED
+        arcs |= {(8001, 8003), (8002, 8004)}
+        assert classify_structure(arcs, 8004) is StructureLevel.CROSSING
 
     def test_level_ordering(self):
         assert StructureLevel.PLAIN.is_within(StructureLevel.CHAIN)

@@ -9,6 +9,7 @@ from arcseq import (
     BudgetError,
     CapabilityError,
     InstanceError,
+    Mapping,
     MatchConstraint,
     SearchBudget,
     StructureLevel,
@@ -20,9 +21,16 @@ from arcseq import (
     lcs_dp,
     solve,
 )
-from arcseq.generate import random_annotated_sequence
+from arcseq.generate import random_annotated_sequence, random_arcs
+from arcseq.mis import adjacency
 
-from oracles import brute_identity_lapcs, brute_lapcs, brute_lcs, brute_min_vertex_cover
+from oracles import (
+    brute_identity_lapcs,
+    brute_lapcs,
+    brute_lcs,
+    brute_lexmin_independent_set,
+    brute_min_vertex_cover,
+)
 
 UNC = MatchConstraint.unconstrained()
 FRAG1 = MatchConstraint.fragment(1)
@@ -137,12 +145,57 @@ class TestDiagonalConflictSolve:
         assert r.witness.pairs == ((1, 1), (3, 3))
 
     def test_odd_cycle(self):
-        # Conflict triangle on candidates 1, 2, 3.
-        a1 = AnnotatedSequence("aaa", {(1, 2)})
-        a2 = AnnotatedSequence("aaa", {(2, 3), (1, 3)})
-        r = diagonal_conflict_solve(a1, a2)
-        assert r.length == 1
-        assert r.witness.pairs == ((1, 1),)
+        # Conflict triangle on candidates 1, 2, 3; in the second instance
+        # the S1 arcs share endpoint 2.
+        for arcs1, arcs2 in (({(1, 2)}, {(2, 3), (1, 3)}), ({(1, 2), (2, 3)}, {(1, 3)})):
+            a1 = AnnotatedSequence("aaa", arcs1)
+            a2 = AnnotatedSequence("aaa", arcs2)
+            r = diagonal_conflict_solve(a1, a2)
+            assert r.length == 1
+            assert r.witness.pairs == ((1, 1),)
+
+    def test_witness_is_the_lexmin_maximum_independent_set(self):
+        # Conflict path 1-4-3-2: walked from 1, the labels do not rise, and
+        # the lexmin optimum {1, 2} is not the first optimum along the walk.
+        a1 = AnnotatedSequence("aaaa", {(1, 4), (2, 3)})
+        a2 = AnnotatedSequence("aaaa", {(3, 4)})
+        assert diagonal_conflict_solve(a1, a2).witness.pairs == ((1, 1), (2, 2))
+
+        rng = random.Random(43)
+        turns = 0
+        for _ in range(300):
+            n = rng.randint(1, 18)
+            a1, a2 = (
+                AnnotatedSequence(
+                    "".join(rng.choice("aaab") for _ in range(n)),
+                    random_arcs(rng, n, StructureLevel.CROSSING, rng.uniform(0.2, 0.5)),
+                )
+                for _ in range(2)
+            )
+            graph = build_conflict_graph(a1, a2)
+            if len(graph.vertices) > 14:
+                continue
+            size, members = brute_lexmin_independent_set(graph.vertices, graph.edges)
+            r = diagonal_conflict_solve(a1, a2)
+            assert (r.length, r.witness) == (size, Mapping.identity(members))
+            adj = adjacency(graph.vertices, graph.edges)
+            turns += any(
+                len(adj[v]) == 2 and (min(adj[v]) > v or max(adj[v]) < v)
+                for v in graph.vertices
+            )
+        # Labels turn along some walk (a vertex between two larger or two
+        # smaller neighbours) in many of the instances.
+        assert turns >= 100
+
+    def test_long_single_path(self):
+        length = 100_000
+        a1 = AnnotatedSequence("a" * length, {(p, p + 1) for p in range(1, length, 2)})
+        a2 = AnnotatedSequence("a" * length, {(p, p + 1) for p in range(2, length, 2)})
+        for mc in (FRAG1, MatchConstraint.diagonal(0)):
+            r = solve(a1, a2, mc)
+            assert r.stats["solver"] == "diagonal_conflict"
+            assert r.length == length // 2
+            assert r.witness.pairs == tuple((p, p) for p in range(1, length, 2))
 
     def test_degree_three_refused(self):
         a1 = AnnotatedSequence("aaaa", {(1, 2), (1, 3), (1, 4)})
@@ -213,6 +266,13 @@ class TestExactSearch:
         assert r.length == 600
         assert r.witness.pairs == tuple((p, p) for p in range(1, length, 2))
 
+    def test_pair_search_deeper_than_the_recursion_limit(self):
+        length = 1200
+        a = AnnotatedSequence("a" * length, {(p, p + 1) for p in range(1, length, 4)})
+        r = exact_search(a, a, UNC, SearchBudget(max_cells=length * length))
+        assert r.length == length
+        assert r.witness.pairs == tuple((p, p) for p in range(1, length + 1))
+
     def test_node_budget(self):
         a = AnnotatedSequence("abab")
         with pytest.raises(BudgetError):
@@ -225,6 +285,91 @@ class TestExactSearch:
             r = exact_search(a1, a2, mc)
             assert r.length == brute_lapcs(a1, a2, mc)
             check_witness(r, a1, a2, mc)
+
+
+# (length, stats["nodes"], witness) of exact_search on PAIR_ROUTE_INSTANCES,
+# captured while the pair search still recursed once per chosen pair.
+PAIR_ROUTE_PINS = [
+    (6, 11, ((1, 1), (6, 2), (7, 3), (8, 5), (9, 6), (10, 7))),
+    (5, 6, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5))),
+    (7, 13, ((1, 1), (3, 2), (4, 5), (5, 6), (6, 9), (7, 10), (8, 11))),
+    (10, 15, ((1, 1), (2, 2), (3, 3), (4, 5), (5, 6), (7, 7), (8, 8), (9, 9), (10, 10), (11, 11))),
+    (5, 99, ((1, 2), (2, 3), (3, 4), (5, 5), (6, 8))),
+    (7, 45, ((1, 2), (2, 4), (5, 6), (6, 7), (7, 8), (9, 10), (10, 12))),
+    (5, 6, ((1, 1), (2, 2), (3, 3), (5, 5), (6, 6))),
+    (5, 74, ((1, 2), (3, 3), (5, 7), (6, 8), (9, 10))),
+    (4, 5, ((1, 2), (3, 3), (4, 6), (5, 7))),
+    (5, 9, ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7))),
+    (8, 9, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (8, 7), (9, 8))),
+    (6, 7, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 8))),
+    (6, 78, ((1, 1), (2, 4), (3, 7), (4, 9), (5, 10), (6, 12))),
+    (6, 17, ((2, 1), (4, 2), (5, 3), (7, 4), (10, 5), (11, 8))),
+    (4, 65, ((1, 2), (3, 4), (4, 6), (6, 8))),
+    (5, 59, ((1, 4), (2, 5), (3, 6), (4, 8), (12, 9))),
+    (6, 15, ((1, 1), (3, 2), (4, 3), (5, 6), (6, 8), (9, 9))),
+    (4, 5, ((1, 2), (4, 3), (5, 5), (6, 6))),
+    (6, 7, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 6), (6, 7))),
+    (5, 13, ((1, 1), (3, 2), (4, 3), (6, 6), (7, 7))),
+    (4, 6, ((1, 2), (2, 5), (3, 6), (4, 7))),
+    (9, 38, ((1, 1), (2, 2), (3, 3), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 11))),
+    (5, 6, ((2, 1), (4, 2), (5, 3), (6, 4), (7, 5))),
+    (4, 6, ((3, 1), (6, 3), (7, 4), (8, 5))),
+    (9, 14, ((1, 1), (2, 3), (3, 4), (4, 6), (7, 7), (8, 8), (9, 9), (10, 10), (11, 11))),
+    (4, 7, ((1, 3), (3, 4), (5, 5), (6, 7))),
+    (7, 8, ((1, 1), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9))),
+    (8, 12, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (8, 7), (9, 8), (10, 9))),
+    (8, 52, ((1, 3), (2, 4), (6, 5), (7, 6), (8, 7), (9, 9), (10, 10), (11, 12))),
+    (4, 14, ((3, 1), (4, 2), (6, 5), (7, 7))),
+    (4, 8, ((1, 1), (2, 2), (6, 5), (7, 6))),
+    (5, 91, ((1, 1), (2, 2), (4, 3), (5, 5), (6, 7))),
+    (7, 8, ((1, 2), (2, 4), (3, 6), (4, 7), (5, 8), (6, 9), (8, 10))),
+    (5, 9, ((1, 1), (5, 2), (6, 8), (8, 9), (10, 10))),
+    (6, 9, ((1, 1), (2, 2), (3, 4), (5, 6), (6, 8), (8, 9))),
+    (7, 13, ((2, 1), (3, 2), (4, 3), (5, 5), (6, 6), (7, 7), (8, 8))),
+    (5, 12, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))),
+    (4, 61, ((1, 1), (2, 2), (3, 4), (6, 6))),
+    (5, 166, ((1, 1), (4, 2), (5, 3), (6, 4), (7, 9))),
+    (7, 57, ((1, 1), (2, 2), (3, 5), (7, 6), (10, 7), (11, 8), (12, 9))),
+    (3, 24, ((1, 2), (2, 4), (6, 6))),
+    (4, 26, ((1, 2), (2, 3), (5, 5), (8, 6))),
+    (6, 34, ((1, 1), (3, 2), (4, 4), (5, 5), (8, 6), (9, 9))),
+    (3, 4, ((1, 2), (2, 3), (3, 4))),
+    (6, 21, ((1, 1), (2, 2), (3, 4), (4, 5), (5, 6), (6, 9))),
+    (4, 26, ((1, 1), (2, 4), (3, 5), (5, 6))),
+    (6, 12, ((3, 1), (4, 2), (5, 5), (6, 7), (7, 8), (8, 10))),
+    (5, 82, ((1, 2), (2, 4), (3, 5), (6, 6), (10, 7))),
+    (6, 7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (8, 8))),
+    (5, 13, ((1, 2), (6, 3), (7, 4), (8, 5), (10, 6))),
+    (4, 16, ((1, 2), (2, 4), (4, 5), (5, 6))),
+    (4, 47, ((1, 1), (2, 4), (3, 5), (4, 7))),
+    (3, 30, ((1, 1), (2, 4), (5, 5))),
+    (4, 13, ((3, 1), (4, 2), (5, 5), (6, 7))),
+    (5, 64, ((1, 3), (2, 4), (5, 5), (6, 7), (7, 8))),
+    (4, 8, ((2, 1), (3, 2), (4, 4), (6, 5))),
+    (5, 9, ((1, 3), (2, 4), (5, 5), (6, 7), (7, 10))),
+    (5, 14, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 7))),
+    (6, 17, ((1, 2), (2, 5), (4, 6), (6, 7), (8, 8), (9, 10))),
+    (6, 7, ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (7, 6))),
+]
+
+
+def pair_route_instances():
+    """Four seeded instances per structure level and windowed constraint."""
+    rng = random.Random(53)
+    for level in StructureLevel:
+        for mc in (UNC, MatchConstraint.fragment(4), MatchConstraint.diagonal(3)):
+            for _ in range(4):
+                a1 = random_annotated_sequence(rng, rng.randint(6, 12), "ab", level)
+                a2 = random_annotated_sequence(rng, rng.randint(6, 12), "ab", level)
+                yield a1, a2, mc
+
+
+def test_pair_route_explores_the_pinned_tree():
+    got = [
+        (r.length, r.stats["nodes"], r.witness.pairs)
+        for r in (exact_search(a1, a2, mc) for a1, a2, mc in pair_route_instances())
+    ]
+    assert got == PAIR_ROUTE_PINS
 
 
 class TestSolveDispatch:
