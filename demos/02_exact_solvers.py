@@ -31,8 +31,9 @@ print(f"P1 = {sorted(a1.arcs)}")
 print(f"P2 = {sorted(a2.arcs)}")
 
 conflict = build_conflict_graph(a1, a2)
-print(f"identity candidates: {conflict.vertices}")
-print(f"conflict edges (arcs on one side only): {sorted(conflict.edges)}")
+print(f"identity candidates: {list(conflict)}")
+edges = sorted((p, q) for p, nbrs in conflict.items() for q in nbrs if p < q)
+print(f"conflict edges (arcs on one side only): {edges}")
 
 r = diagonal_conflict_solve(a1, a2)
 print(f"identity-constrained optimum: {r.length} of {len(a1)} positions")

@@ -43,7 +43,6 @@ from .reductions import (
     reduce_theorem2,
 )
 from .solvers import (
-    ConflictGraph,
     SearchBudget,
     SolveResult,
     build_conflict_graph,
@@ -82,7 +81,6 @@ __all__ = [
     "max_independent_set",
     "reduce_theorem1",
     "reduce_theorem2",
-    "ConflictGraph",
     "SearchBudget",
     "SolveResult",
     "build_conflict_graph",

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 usage or parse error, 2 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -49,7 +50,9 @@ def _k_policy(text: str) -> int | str:
         raise argparse.ArgumentTypeError(f"expected 'all' or an integer, got {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="arcseq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"arcseq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

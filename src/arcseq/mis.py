@@ -23,11 +23,16 @@ __all__ = ["adjacency", "lexmin_maximum_independent_set"]
 def adjacency(
     vertices: Iterable[int], edges: Iterable[tuple[int, int]]
 ) -> dict[int, set[int]]:
-    """Neighbour sets of an undirected graph, one (possibly empty) per vertex."""
+    """Neighbour sets of an undirected graph, one (possibly empty) per vertex.
+
+    Keys follow the order of ``vertices``. Edges with an endpoint outside
+    ``vertices`` are left out.
+    """
     adj: dict[int, set[int]] = {v: set() for v in vertices}
     for p, q in edges:
-        adj[p].add(q)
-        adj[q].add(p)
+        if p in adj and q in adj:
+            adj[p].add(q)
+            adj[q].add(p)
     return adj
 
 

@@ -8,6 +8,8 @@ Three routes, all exact:
   a conflict graph; when every position carries at most one arc per side the
   conflict graph has maximum degree 2, its components are paths and cycles,
   and each component's lexmin optimum takes one sort plus linear passes.
+  The conflict graph is one neighbour map (:func:`build_conflict_graph`),
+  which this route and the identity route of :func:`exact_search` share.
 * :func:`exact_search` -- pruned exhaustive search, the universal
   small-instance oracle.
 
@@ -20,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AnnotatedSequence, Arc, Mapping, MatchConstraint
-from .errors import BudgetError, CapabilityError, InstanceError, WrongSolverError
+from .core import AnnotatedSequence, Mapping, MatchConstraint
+from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
 from .mis import adjacency, lexmin_maximum_independent_set
 
 __all__ = [
     "SearchBudget",
     "SolveResult",
-    "ConflictGraph",
     "lcs_dp",
     "build_conflict_graph",
     "diagonal_conflict_solve",
@@ -47,11 +48,23 @@ class SearchBudget:
         max_identity_length: cap on sequence length for identity-constrained
             instances (fragment(1) / diagonal(0)).
         max_nodes: optional cap on explored search nodes.
+
+    Raises:
+        ValidationError: a cap is negative, or max_nodes is below 1.
     """
 
     max_cells: int = 400
     max_identity_length: int = 64
     max_nodes: int | None = None
+
+    def __post_init__(self):
+        if self.max_cells < 0 or self.max_identity_length < 0:
+            raise ValidationError(
+                f"search budget caps must be >= 0, got max_cells={self.max_cells}, "
+                f"max_identity_length={self.max_identity_length}"
+            )
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise ValidationError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -70,28 +83,6 @@ class SolveResult:
     witness: Mapping
     optimal: bool = True
     stats: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Conflicts between candidate identity matches of two equal-length sequences.
-
-    Vertices are the positions p with S1[p] = S2[p]. An edge joins p < q
-    when exactly one of the two arc sets contains (p, q): matching both
-    endpoints would then break arc preservation, so any valid identity
-    mapping is an independent set here.
-    """
-
-    vertices: tuple[int, ...]
-    edges: frozenset[Arc]
-
-    @property
-    def max_degree(self) -> int:
-        degree = dict.fromkeys(self.vertices, 0)
-        for p, q in self.edges:
-            degree[p] += 1
-            degree[q] += 1
-        return max(degree.values(), default=0)
 
 
 def _plain_string(s: str | AnnotatedSequence, side: str) -> str:
@@ -160,11 +151,16 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
     )
 
 
-def build_conflict_graph(a1: AnnotatedSequence, a2: AnnotatedSequence) -> ConflictGraph:
-    """Candidate identity matches and the arcs that put them in conflict.
+def build_conflict_graph(
+    a1: AnnotatedSequence, a2: AnnotatedSequence
+) -> dict[int, set[int]]:
+    """Conflicts between candidate identity matches, as a neighbour map.
 
-    Vertices: positions where the sequences agree. Edges: pairs in the
-    symmetric difference of the arc sets with both endpoints candidates.
+    The keys are the candidates, the positions p with S1[p] = S2[p], in
+    ascending order. An edge joins candidates p < q when exactly one of the
+    two arc sets contains (p, q): matching both endpoints would then break
+    arc preservation, so any valid identity mapping is an independent set
+    here.
 
     Raises:
         InstanceError: the sequences have different lengths.
@@ -173,19 +169,15 @@ def build_conflict_graph(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Confli
         raise InstanceError(
             f"conflict graph needs equal lengths, got {len(a1)} and {len(a2)}"
         )
-    return _prefix_conflict_graph(a1, a2, len(a1))
+    return _prefix_conflict_graph(a1, a2)
 
 
 def _prefix_conflict_graph(
-    a1: AnnotatedSequence, a2: AnnotatedSequence, length: int
-) -> ConflictGraph:
-    """The conflict graph restricted to positions 1..length of both sequences."""
-    vertices = tuple(p for p in range(1, length + 1) if a1.base(p) == a2.base(p))
-    vset = set(vertices)
-    edges = frozenset(
-        (p, q) for p, q in a1.arcs ^ a2.arcs if p in vset and q in vset
-    )
-    return ConflictGraph(vertices, edges)
+    a1: AnnotatedSequence, a2: AnnotatedSequence
+) -> dict[int, set[int]]:
+    """The conflict graph over the common prefix, positions 1..min(len)."""
+    candidates = (p for p, (x, y) in enumerate(zip(a1.seq, a2.seq), 1) if x == y)
+    return adjacency(candidates, a1.arcs ^ a2.arcs)
 
 
 def _lexmin_path_mis(order: list[int]) -> list[int]:
@@ -240,13 +232,12 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
         CapabilityError: some conflict vertex has degree > 2 (use
             exact_search for those instances).
     """
-    graph = build_conflict_graph(a1, a2)
-    max_deg = graph.max_degree
+    adj = build_conflict_graph(a1, a2)
+    max_deg = max(map(len, adj.values()), default=0)
     if max_deg > 2:
         raise CapabilityError(
             f"conflict graph has degree {max_deg} > 2; use exact_search()"
         )
-    adj = adjacency(graph.vertices, graph.edges)
 
     chosen: list[int] = []
     components = 0
@@ -255,7 +246,7 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     # every vertex left after that lies on a cycle, walked from its smallest
     # vertex. _lexmin_path_mis picks by label, not by walk order.
     for is_cycle in (False, True):
-        for v in graph.vertices:
+        for v in adj:
             if v in seen or (not is_cycle and len(adj[v]) == 2):
                 continue
             seen.add(v)
@@ -282,8 +273,8 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
         witness=Mapping.identity(chosen),
         stats={
             "solver": "diagonal_conflict",
-            "candidates": len(graph.vertices),
-            "conflict_edges": len(graph.edges),
+            "candidates": len(adj),
+            "conflict_edges": sum(map(len, adj.values())) // 2,
             "components": components,
         },
     )
@@ -297,10 +288,9 @@ def _identity_exact(
     Only the common prefix can be matched, so the conflict graph is built
     over positions 1..min(len(a1), len(a2)).
     """
-    graph = _prefix_conflict_graph(a1, a2, min(len(a1), len(a2)))
-    adj = adjacency(graph.vertices, graph.edges)
+    adj = _prefix_conflict_graph(a1, a2)
     size, members, nodes = lexmin_maximum_independent_set(
-        graph.vertices, adj, max_nodes=budget.max_nodes
+        adj, adj, max_nodes=budget.max_nodes
     )
     return SolveResult(
         length=size,
@@ -308,7 +298,7 @@ def _identity_exact(
         stats={
             "solver": "exact_search",
             "nodes": nodes,
-            "candidates": len(graph.vertices),
+            "candidates": len(adj),
         },
     )
 

@@ -97,6 +97,24 @@ def brute_lexmin_independent_set(vertices, edges) -> tuple[int, tuple[int, ...]]
     return 0, ()
 
 
+def conflict_graph_by_definition(a1: AnnotatedSequence, a2: AnnotatedSequence):
+    """Identity candidates of two equal-length sequences and their conflicts.
+
+    Candidates are the positions whose letters agree; two candidates p < q
+    conflict when (p, q) is an arc of exactly one sequence. Returns
+    (candidates, edges, neighbour sets keyed by candidate).
+    """
+    cands = [p for p in range(1, len(a1) + 1) if a1.base(p) == a2.base(p)]
+    edges = [
+        pq for pq in itertools.combinations(cands, 2) if (pq in a1.arcs) != (pq in a2.arcs)
+    ]
+    neighbours = {v: set() for v in cands}
+    for p, q in edges:
+        neighbours[p].add(q)
+        neighbours[q].add(p)
+    return cands, edges, neighbours
+
+
 def brute_min_vertex_cover(vertices, edges) -> int:
     vs = sorted(vertices)
     for r in range(0, len(vs) + 1):

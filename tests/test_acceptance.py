@@ -31,7 +31,7 @@ from arcseq.formats import (
 from arcseq.generate import random_annotated_sequence, random_arcs, random_graph
 from arcseq.sweep import SweepConfig, run_sweep
 
-from oracles import brute_min_vertex_cover, oracle_level
+from oracles import brute_min_vertex_cover, conflict_graph_by_definition, oracle_level
 
 LEVELS = [
     StructureLevel.PLAIN,
@@ -122,10 +122,9 @@ def test_criterion_3_theorem2_backward_audit(tmp_path):
     assert len(rows) == 1
     row = rows[0]
     inst = reduce_theorem2(triangle, 2)
-    conflict = build_conflict_graph(inst.a1, inst.a2)
-    by_formula = len(conflict.vertices) - brute_min_vertex_cover(
-        conflict.vertices, conflict.edges
-    )
+    cands, edges, neighbours = conflict_graph_by_definition(inst.a1, inst.a2)
+    assert build_conflict_graph(inst.a1, inst.a2) == neighbours
+    by_formula = len(cands) - brute_min_vertex_cover(cands, edges)
     by_search = exact_search(inst.a1, inst.a2, inst.mc).length
     assert row.lapcs_len == by_search == by_formula == 12
     assert not row.backward_ok  # the measured counterexample
@@ -150,7 +149,9 @@ def test_criterion_4_solver_oracle_equivalence():
             assert lcs_dp(a1.seq, a2.seq).length == result.length
             used["lcs_dp"] += 1
         if mc.forces_identity() and len(a1) == len(a2):
-            if build_conflict_graph(a1, a2).max_degree <= 2:
+            _, _, neighbours = conflict_graph_by_definition(a1, a2)
+            assert build_conflict_graph(a1, a2) == neighbours
+            if max(map(len, neighbours.values()), default=0) <= 2:
                 assert diagonal_conflict_solve(a1, a2).length == result.length
                 used["diagonal"] += 1
     assert used["search"] == 500

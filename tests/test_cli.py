@@ -89,6 +89,27 @@ class TestSolve:
         assert main(["solve", str(f), str(f), "--unconstrained", "--budget-nodes", "1"]) == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_negative_node_budget_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "s.txt"
+        f.write_text("F\n")
+        assert main(["solve", str(f), str(f), "--unconstrained", "--budget-nodes", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("arcseq: error: ") and "max_nodes" in err
+
+    def test_repeated_calls_behave_as_fresh_ones(self, tmp_path, capsys):
+        inst = reduce_theorem1(TRIANGLE, 1)
+        f1, f2 = tmp_path / "a1.txt", tmp_path / "a2.txt"
+        save_annotated_sequence(inst.a1, f1)
+        save_annotated_sequence(inst.a2, f2)
+        assert main(["solve", str(f1), str(f2), "--fragment", "1"]) == 0
+        first = capsys.readouterr().out
+        assert main(["solve", str(f1), str(f2), "--diagonal", "0"]) == 0
+        assert capsys.readouterr().out == first
+        assert main(["solve", str(f1), str(f2)]) == 1
+        assert "one of the arguments" in capsys.readouterr().err
+        assert main(["solve", str(f1), str(f2), "--fragment", "1"]) == 0
+        assert capsys.readouterr().out == first
+
 
 class TestReduce:
     def test_theorem2_writes_instance_files(self, tmp_path, capsys, triangle_file):

@@ -42,7 +42,9 @@ def test_seeded_graphs_with_sparse_labels_and_one_sided_neighbours():
 
 def test_node_budget():
     vertices = range(1, 8)
-    star = adjacency(vertices, [(1, v) for v in range(2, 8)])
+    # Edges (1, 8) and (0, 3) reach outside the vertex set and are left out.
+    star = adjacency(vertices, [(1, v) for v in range(2, 9)] + [(0, 3)])
+    assert star == {1: set(range(2, 8)), **{v: {1} for v in range(2, 8)}}
     _, _, nodes = lexmin_maximum_independent_set(vertices, star)
     assert lexmin_maximum_independent_set(vertices, star, max_nodes=nodes)[0] == 6
     with pytest.raises(BudgetError, match="exceeded"):

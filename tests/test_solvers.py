@@ -13,6 +13,7 @@ from arcseq import (
     MatchConstraint,
     SearchBudget,
     StructureLevel,
+    ValidationError,
     WrongSolverError,
     build_conflict_graph,
     diagonal_conflict_solve,
@@ -22,7 +23,6 @@ from arcseq import (
     solve,
 )
 from arcseq.generate import random_annotated_sequence, random_arcs
-from arcseq.mis import adjacency
 
 from oracles import (
     brute_identity_lapcs,
@@ -30,6 +30,7 @@ from oracles import (
     brute_lcs,
     brute_lexmin_independent_set,
     brute_min_vertex_cover,
+    conflict_graph_by_definition,
 )
 
 UNC = MatchConstraint.unconstrained()
@@ -85,29 +86,23 @@ class TestConflictGraph:
         a1 = AnnotatedSequence("aaa", {(1, 2), (1, 3), (2, 3)})
         a2 = AnnotatedSequence("aaa")
         g = build_conflict_graph(a1, a2)
-        assert g.vertices == (1, 2, 3)
-        assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
-        assert g.max_degree == 2
+        assert g == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+        assert list(g) == [1, 2, 3]
 
     def test_equal_arc_sets_give_no_conflicts(self):
         a = AnnotatedSequence("abcab", {(1, 4), (2, 5)})
-        g = build_conflict_graph(a, a)
-        assert g.vertices == (1, 2, 3, 4, 5)
-        assert g.edges == frozenset()
+        assert build_conflict_graph(a, a) == {p: set() for p in range(1, 6)}
 
     def test_blocked_single_edge_image(self):
         a1 = AnnotatedSequence("baabbaab", {(1, 4), (5, 8), (3, 6)})
         a2 = AnnotatedSequence("baabbaab", {(1, 4), (5, 8)})
         g = build_conflict_graph(a1, a2)
-        assert g.vertices == tuple(range(1, 9))
-        assert g.edges == frozenset({(3, 6)})
+        assert g == {**{p: set() for p in range(1, 9)}, 3: {6}, 6: {3}}
 
     def test_conflicts_only_between_candidates(self):
         a1 = AnnotatedSequence("ab", {(1, 2)})
         a2 = AnnotatedSequence("ax")
-        g = build_conflict_graph(a1, a2)
-        assert g.vertices == (1,)
-        assert g.edges == frozenset()
+        assert build_conflict_graph(a1, a2) == {1: set()}
 
     def test_length_mismatch(self):
         with pytest.raises(InstanceError):
@@ -172,16 +167,16 @@ class TestDiagonalConflictSolve:
                 )
                 for _ in range(2)
             )
-            graph = build_conflict_graph(a1, a2)
-            if len(graph.vertices) > 14:
+            cands, edges, neighbours = conflict_graph_by_definition(a1, a2)
+            if len(cands) > 14:
                 continue
-            size, members = brute_lexmin_independent_set(graph.vertices, graph.edges)
+            assert build_conflict_graph(a1, a2) == neighbours
+            size, members = brute_lexmin_independent_set(cands, edges)
             r = diagonal_conflict_solve(a1, a2)
             assert (r.length, r.witness) == (size, Mapping.identity(members))
-            adj = adjacency(graph.vertices, graph.edges)
             turns += any(
-                len(adj[v]) == 2 and (min(adj[v]) > v or max(adj[v]) < v)
-                for v in graph.vertices
+                len(nb) == 2 and (min(nb) > v or max(nb) < v)
+                for v, nb in neighbours.items()
             )
         # Labels turn along some walk (a vertex between two larger or two
         # smaller neighbours) in many of the instances.
@@ -209,10 +204,11 @@ class TestDiagonalConflictSolve:
             n = rng.randint(1, 10)
             a1 = random_annotated_sequence(rng, n, "ab", StructureLevel.CROSSING)
             a2 = random_annotated_sequence(rng, n, "ab", StructureLevel.NESTED)
-            graph = build_conflict_graph(a1, a2)
+            cands, edges, neighbours = conflict_graph_by_definition(a1, a2)
+            assert build_conflict_graph(a1, a2) == neighbours
             r = diagonal_conflict_solve(a1, a2)
-            mvc = brute_min_vertex_cover(graph.vertices, graph.edges)
-            assert r.length == len(graph.vertices) - mvc
+            mvc = brute_min_vertex_cover(cands, edges)
+            assert r.length == len(cands) - mvc
             assert r.length == brute_identity_lapcs(a1, a2)
             check_witness(r, a1, a2, FRAG1)
 
@@ -277,6 +273,13 @@ class TestExactSearch:
         a = AnnotatedSequence("abab")
         with pytest.raises(BudgetError):
             exact_search(a, a, UNC, SearchBudget(max_nodes=2))
+
+    def test_malformed_budget_rejected(self):
+        for bad in ({"max_cells": -1}, {"max_identity_length": -1},
+                    {"max_nodes": 0}, {"max_nodes": -3}):
+            with pytest.raises(ValidationError):
+                SearchBudget(**bad)
+        assert SearchBudget(max_cells=0, max_identity_length=0, max_nodes=1).max_nodes == 1
 
     def test_windowed_constraints(self):
         a1 = AnnotatedSequence("abcd")
@@ -370,6 +373,70 @@ def test_pair_route_explores_the_pinned_tree():
         for r in (exact_search(a1, a2, mc) for a1, a2, mc in pair_route_instances())
     ]
     assert got == PAIR_ROUTE_PINS
+
+
+# (candidates, conflict_edges, components) of diagonal_conflict_solve, then
+# (candidates, nodes) of exact_search's identity route, on
+# identity_stat_instances(); captured while the conflict graph was still a
+# vertex tuple plus an edge set.
+IDENTITY_STAT_PINS = [
+    (3, 3, 1, 3, 3),
+    (8, 1, 7, 8, 15),
+    (3, 3, 1, 3, 3),
+    (4, 3, 1, 4, 5),
+    (8, 5, 3, 8, 13),
+    (14, 9, 5, 14, 19),
+    (5, 1, 4, 5, 9),
+    (5, 2, 3, 5, 9),
+    (10, 4, 6, 10, 15),
+    (7, 3, 4, 7, 11),
+    (8, 3, 5, 8, 13),
+    (9, 5, 4, 9, 11),
+    (4, 1, 3, 4, 7),
+    (13, 8, 5, 13, 17),
+    (4, 2, 2, 4, 7),
+    (5, 2, 3, 5, 7),
+    (15, 9, 6, 15, 21),
+    (8, 8, 1, 8, 9),
+    (9, 4, 5, 9, 15),
+    (9, 5, 4, 9, 23),
+    (11, 5, 6, 11, 15),
+    (15, 8, 7, 15, 25),
+    (13, 8, 5, 13, 29),
+    (11, 2, 9, 11, 19),
+]
+
+
+def identity_stat_instances():
+    """The triangle image, the blocked single edge, an odd cycle, the
+    1-4-3-2 path, then 20 seeded crossing-arc pairs."""
+    yield AnnotatedSequence("aaa", {(1, 2), (1, 3), (2, 3)}), AnnotatedSequence("aaa")
+    yield (
+        AnnotatedSequence("baabbaab", {(1, 4), (5, 8), (3, 6)}),
+        AnnotatedSequence("baabbaab", {(1, 4), (5, 8)}),
+    )
+    yield AnnotatedSequence("aaa", {(1, 2)}), AnnotatedSequence("aaa", {(2, 3), (1, 3)})
+    yield AnnotatedSequence("aaaa", {(1, 4), (2, 3)}), AnnotatedSequence("aaaa", {(3, 4)})
+    rng = random.Random(67)
+    for _ in range(20):
+        n = rng.randint(8, 24)
+        yield tuple(
+            AnnotatedSequence(
+                "".join(rng.choice("aaaab") for _ in range(n)),
+                random_arcs(rng, n, StructureLevel.CROSSING, rng.uniform(0.3, 0.6)),
+            )
+            for _ in range(2)
+        )
+
+
+def test_identity_lane_stats_are_pinned():
+    got = []
+    for a1, a2 in identity_stat_instances():
+        d = diagonal_conflict_solve(a1, a2).stats
+        x = exact_search(a1, a2, FRAG1).stats
+        got.append((d["candidates"], d["conflict_edges"], d["components"],
+                    x["candidates"], x["nodes"]))
+    assert got == IDENTITY_STAT_PINS
 
 
 class TestSolveDispatch:
