@@ -121,9 +121,8 @@ def _cmd_solve(args) -> int:
     else:
         mc = MatchConstraint.unconstrained()
     result = solve(a1, a2, mc, budget=_budget(args))
-    print(result.length)
-    for i, j in result.witness.pairs:
-        print(f"{i} {j}")
+    pairs = "".join(f"{i} {j}\n" for i, j in result.witness.pairs)
+    sys.stdout.write(f"{result.length}\n{pairs}")
     return EXIT_OK
 
 

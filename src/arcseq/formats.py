@@ -35,8 +35,10 @@ __all__ = [
 
 
 def write_annotated_sequence(a: AnnotatedSequence) -> str:
-    if "\n" in a.seq or "\r" in a.seq:
-        raise ValidationError("sequences containing newlines cannot be serialized")
+    # The parser splits with str.splitlines, so the sequence line may hold
+    # none of the characters it breaks on (\v, \f, \x85, \u2028, ... too).
+    if a.seq and a.seq.splitlines() != [a.seq]:
+        raise ValidationError("sequences containing line breaks cannot be serialized")
     lines = [a.seq]
     lines.extend(f"{i} {j}" for i, j in sorted(a.arcs))
     return "\n".join(lines) + "\n"

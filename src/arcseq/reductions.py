@@ -214,6 +214,12 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     arc ((i-1)(n+2)+1, i(n+2)) on both sides, and each edge (i, j) adds the
     arc ((i-1)(n+2)+j+1, (j-1)(n+2)+i+1), normalized to increasing order, on
     the first side only. The threshold is k(n+2).
+
+    In case II every position is an identity candidate and only the edge
+    arcs conflict, one edge arc per conflict edge with no shared endpoints,
+    so the optimum is n(n+2) - m. The forward direction therefore always
+    holds, and the backward direction fails exactly when alpha(G) < k and
+    m <= (n - k)(n + 2); the triangle with k = 2 is the smallest case.
     """
     if k < 1:
         raise ValidationError("threshold k must be >= 1")

@@ -2,7 +2,10 @@
 
 Three routes, all exact:
 
-* :func:`lcs_dp` -- classic O(n*m) dynamic programming for arc-free inputs.
+* :func:`lcs_dp` -- arc-free inputs, on bit-parallel suffix-LCS rows:
+  O(n * ceil(m / w)) word operations, n * m bits of rows, and O(n + L) row
+  lookups for the witness. :func:`exact_search` reads its LCS bound from the
+  same rows.
 * :func:`diagonal_conflict_solve` -- identity-constrained instances
   (fragment width 1 / diagonal width 0) reduce to maximum independent set on
   a conflict graph; when every position carries at most one arc per side the
@@ -96,26 +99,60 @@ def _plain_string(s: str | AnnotatedSequence, side: str) -> str:
     return s
 
 
+def _suffix_lcs_rows(s1: str, s2: str) -> list[int]:
+    """Bit-parallel suffix-LCS rows of s1 against s2, one m-bit int per S1 suffix.
+
+    Bit t of rows[i] stands for S2 position m - t, and rows[i] (i = 1..n+1)
+    encodes the LCS lengths of s1[i..] against every suffix of s2: read one
+    with :func:`_suffix_lcs`. The rows come from the bit-vector LCS
+    recurrence of Allison & Dix (1986) in the form of Hyyro (2004),
+    V = ((V + U) | (V - U)) & full with U = V & match[ch], run over both
+    strings reversed: O(n * ceil(m / w)) word operations for machine words of
+    w bits, and n * m bits of storage. rows[0] is unused.
+    """
+    n, m = len(s1), len(s2)
+    match: dict[str, int] = {}
+    for t, ch in enumerate(reversed(s2)):
+        match[ch] = match.get(ch, 0) | 1 << t
+    full = (1 << m) - 1
+    rows = [full] * (n + 2)
+    v = full
+    for i in range(n, 0, -1):
+        u = v & match.get(s1[i - 1], 0)
+        v = ((v + u) | (v - u)) & full
+        rows[i] = v
+    return rows
+
+
+def _suffix_lcs(row: int, m: int, j: int) -> int:
+    """LCS length of s1[i..] and s2[j..] (1-based) from row = rows[i]."""
+    c = m - j + 1
+    return c - (row & ((1 << c) - 1)).bit_count()
+
+
 def _suffix_lcs_table(s1: str, s2: str) -> list[list[int]]:
     """table[i][j] = LCS length of s1[i..] and s2[j..] (1-based suffixes)."""
-    n, m = len(s1), len(s2)
-    table = [[0] * (m + 2) for _ in range(n + 2)]
-    for i in range(n, 0, -1):
-        row, below = table[i], table[i + 1]
-        for j in range(m, 0, -1):
-            if s1[i - 1] == s2[j - 1]:
-                row[j] = below[j + 1] + 1
-            else:
-                row[j] = max(below[j], row[j + 1])
-    return table
+    m = len(s2)
+    # _suffix_lcs per cell, with the masks of columns j = 1..m+1 made once.
+    widths = range(m, -1, -1)
+    masks = [(1 << c) - 1 for c in widths]
+    return [[0] * (m + 2)] + [
+        [0] + [c - (row & mask).bit_count() for c, mask in zip(widths, masks)]
+        for row in _suffix_lcs_rows(s1, s2)[1:]
+    ]
 
 
 def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveResult:
-    """Longest common subsequence of two plain strings, O(n*m) time and space.
+    """Longest common subsequence of two plain strings, on bit-parallel rows.
 
-    The arc-free case is ordinary LCS. The witness is recovered greedily
-    from a suffix-length table: repeatedly take the lexicographically
-    smallest pair that still completes an optimum.
+    The arc-free case is ordinary LCS. The suffix-LCS lengths are held as
+    one m-bit row per S1 suffix (:func:`_suffix_lcs_rows`): O(n * ceil(m / w))
+    word operations for machine words of w bits, and n * m bits of storage.
+    The witness is recovered greedily: repeatedly take the lexicographically
+    smallest pair that still completes an optimum. In each row only the
+    first occurrence of the row's letter at or after the current S2 position
+    can qualify (rows do not increase along S2), so recovery costs O(n + L)
+    row lookups for a witness of length L.
 
     Raises:
         WrongSolverError: an input is an AnnotatedSequence with arcs.
@@ -123,27 +160,21 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
     str1 = _plain_string(s1, "S1")
     str2 = _plain_string(s2, "S2")
     n, m = len(str1), len(str2)
-    table = _suffix_lcs_table(str1, str2)
+    rows = _suffix_lcs_rows(str1, str2)
 
     pairs: list[tuple[int, int]] = []
-    i, j = 1, 1
-    target = table[1][1]
-    while target > 0:
-        found = False
-        for i2 in range(i, n + 1):
-            if table[i2][j] < target:
-                break
-            for j2 in range(j, m + 1):
-                if table[i2][j2] < target:
-                    break
-                if str1[i2 - 1] == str2[j2 - 1] and table[i2 + 1][j2 + 1] == target - 1:
-                    pairs.append((i2, j2))
-                    i, j = i2 + 1, j2 + 1
-                    target -= 1
-                    found = True
-                    break
-            if found:
-                break
+    j = 1
+    target = _suffix_lcs(rows[1], m, 1)
+    for i in range(1, n + 1):
+        if not target:
+            break
+        # (i, j2) completes an optimum iff LCS(s1[i+1..], s2[j2+1..]) =
+        # target - 1, i.e. iff the suffix LCS at (i, j2) is still target.
+        j2 = str2.find(str1[i - 1], j - 1) + 1
+        if j2 and _suffix_lcs(rows[i], m, j2) == target:
+            pairs.append((i, j2))
+            j = j2 + 1
+            target -= 1
     return SolveResult(
         length=len(pairs),
         witness=Mapping(tuple(pairs)),

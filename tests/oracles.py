@@ -26,6 +26,26 @@ def brute_lcs(s1: str, s2: str) -> int:
     return 0
 
 
+def brute_lexmin_lcs(s1: str, s2: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Longest common subsequence as 1-based position pairs, lexicographically
+    smallest among the longest.
+
+    For each size from min(len) down, every increasing position tuple of s1 is
+    paired with every one of s2; the smallest letter-matching pair list of the
+    first size that has one is returned.
+    """
+    for r in range(min(len(s1), len(s2)), 0, -1):
+        matches = [
+            tuple(zip(c1, c2))
+            for c1 in itertools.combinations(range(1, len(s1) + 1), r)
+            for c2 in itertools.combinations(range(1, len(s2) + 1), r)
+            if all(s1[i - 1] == s2[j - 1] for i, j in zip(c1, c2))
+        ]
+        if matches:
+            return r, min(matches)
+    return 0, ()
+
+
 def brute_lapcs(a1: AnnotatedSequence, a2: AnnotatedSequence, mc: MatchConstraint) -> int:
     """Optimal arc-preserving length by unpruned enumeration of all mappings."""
     pairs = [

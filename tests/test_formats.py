@@ -59,8 +59,11 @@ class TestAnnotatedSequenceFormat:
             parse_annotated_sequence("abc\n1 9\n")
 
     def test_newline_in_sequence_unserializable(self):
-        with pytest.raises(ValidationError):
-            write_annotated_sequence(AnnotatedSequence("a\nb"))
+        # Every line boundary of str.splitlines, which the parser splits on.
+        for seq in ("a\nb", "a\rb", "a\r\nb", "ab\r", "ab\x0bcd", "ab\x0ccd", "ab\x1ccd",
+                    "ab\x1dcd", "ab\x1ecd", "ab\x85cd", "ab\u2028cd", "ab\u2029cd"):
+            with pytest.raises(ValidationError):
+                write_annotated_sequence(AnnotatedSequence(seq, {(1, len(seq))}))
 
     def test_file_round_trip(self, tmp_path):
         a = AnnotatedSequence("abba", {(1, 4)})

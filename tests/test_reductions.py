@@ -22,6 +22,7 @@ from arcseq import (
 )
 from arcseq.generate import exhaustive_graphs
 from arcseq.reductions import GraphOracles, IndependenceViolationWarning, Provenance
+from arcseq.sweep import SweepConfig, run_sweep
 
 from oracles import brute_max_independent_set
 
@@ -293,3 +294,30 @@ class TestCheckEquivalence:
             row = check_equivalence(TRIANGLE, k, "T2")
             inst = reduce_theorem2(TRIANGLE, k)
             assert row.lapcs_len == exact_search(inst.a1, inst.a2, inst.mc).length
+
+
+def test_exhaustive_sweep_rows_follow_the_closed_forms():
+    """Every all-k row for n <= 5, against brute-force alpha and arithmetic.
+
+    T1: the optimum is alpha(G). T2 (case II, k <= n): the bracket arcs lie
+    on both sides and each edge arc is one conflict edge, so the optimum is
+    n(n+2) - m; the backward direction fails exactly when alpha(G) < k yet
+    n(n+2) - m reaches the threshold k(n+2), i.e. m <= (n - k)(n + 2).
+    """
+    alpha = {
+        f"g{n}-{mask}": brute_max_independent_set(n, g.edges)
+        for n in range(1, 6)
+        for mask, g in exhaustive_graphs(n)
+    }
+    t1 = run_sweep(SweepConfig("T1", (1, 5))).rows
+    assert len(t1) == 5405
+    assert all(r.lapcs_len == alpha[r.graph_id] for r in t1)
+
+    t2 = run_sweep(SweepConfig("T2", (1, 5), max_exhaustive_n=5)).rows
+    assert len(t2) == 5405
+    for r in t2:
+        assert r.lapcs_len == r.n * (r.n + 2) - r.m
+        assert r.backward_ok == (
+            alpha[r.graph_id] >= r.k or r.m > (r.n - r.k) * (r.n + 2)
+        )
+    assert sum(not r.backward_ok for r in t2) == 1334

@@ -1,6 +1,8 @@
 """Solver correctness against brute-force oracles and frozen examples."""
 
+import hashlib
 import random
+import string
 
 import pytest
 
@@ -29,6 +31,7 @@ from oracles import (
     brute_lapcs,
     brute_lcs,
     brute_lexmin_independent_set,
+    brute_lexmin_lcs,
     brute_min_vertex_cover,
     conflict_graph_by_definition,
 )
@@ -79,6 +82,70 @@ class TestLcsDp:
             s1 = "".join(rng.choice("ab") for _ in range(rng.randint(0, 9)))
             s2 = "".join(rng.choice("ab") for _ in range(rng.randint(0, 9)))
             assert lcs_dp(s1, s2).length == brute_lcs(s1, s2)
+
+    def test_witness_is_the_brute_force_lexmin(self):
+        rng = random.Random(73)
+        for alphabet in ("a", "ab", "abcd"):
+            for _ in range(40):
+                s1 = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+                s2 = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+                r = lcs_dp(s1, s2)
+                assert (r.length, r.witness.pairs) == brute_lexmin_lcs(s1, s2)
+
+
+def _digest(pairs) -> str:
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+def _random_string(rng, alphabet, n):
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+# lcs_dp's (length, witness) as computed by the list-of-lists suffix table:
+# per alphabet, the sha256 of the (length, pairs) list over 30 seeded pairs of
+# unequal lengths 0..40; then (length, sha256 of pairs) of the long pairs.
+LCS_ALPHABET_PINS = {
+    "a": "ce9e45c522a5e13f3ea4e03a9c8acb887e802917105679f608c661fad0795f2d",
+    "ab": "692395406b0c3157337217bbf876c689c2e9cee4973525f6c9101c2253ed292b",
+    "ACGU": "ff4b9a775f8176f7c37d78e8e2c380eb6bb9079235f005ddae5968ce45f4150a",
+    string.ascii_lowercase: "cf0c81c6aceefa505a6482cf36e3098a2ba1a5ec153cb765de1bcd3ae5377e81",
+}
+LCS_LONG_PINS = {
+    "abab/baba": (1999, "706df2eec92716cf33a24bea92a49175d9e6f43a0ebb58b8ef8598c46ad67c39"),
+    1000: (652, "aa213cab7e62211362ccc3cb38d320deb7ac876a8246ce67d80db784d2d978c0"),
+    2000: (1301, "5e5c4570b1da0ccf6948ff25fec74cfd79927b006e4574858e320d00be476e17"),
+}
+
+
+def test_lcs_witnesses_are_pinned():
+    for s1, s2 in (("", ""), ("", "abc"), ("abc", "")):
+        r = lcs_dp(s1, s2)
+        assert (r.length, r.witness.pairs) == (0, ())
+    r = lcs_dp("abcbdab", "bdcaba")
+    assert r.witness.pairs == ((2, 1), (3, 3), (4, 5), (6, 6))
+    assert lcs_dp("abcd", "dcba").witness.pairs == ((1, 4),)
+
+    rng = random.Random(71)
+    got = {}
+    for alphabet in LCS_ALPHABET_PINS:
+        results = []
+        for _ in range(30):
+            s1 = _random_string(rng, alphabet, rng.randint(0, 40))
+            s2 = _random_string(rng, alphabet, rng.randint(0, 40))
+            r = lcs_dp(s1, s2)
+            results.append((r.length, r.witness.pairs))
+        got[alphabet] = _digest(results)
+    assert got == LCS_ALPHABET_PINS
+
+    long_pairs = {"abab/baba": ("ab" * 1000, "ba" * 1000)}
+    for size in (1000, 2000):
+        rng = random.Random(size)
+        long_pairs[size] = (_random_string(rng, "ACGU", size), _random_string(rng, "ACGU", size))
+    got = {}
+    for key, (s1, s2) in long_pairs.items():
+        r = lcs_dp(s1, s2)
+        got[key] = (r.length, _digest(r.witness.pairs))
+    assert got == LCS_LONG_PINS
 
 
 class TestConflictGraph:
