@@ -20,14 +20,16 @@ same-position matching:
 The construction's backward direction is treated as an empirical question:
 :func:`check_equivalence` measures both implications per (graph, k) pair
 with exact oracles on both sides, and reports disagreements rather than
-assuming them away. A :class:`GraphOracles` shared by the rows of one graph
-computes each oracle result once per graph and per distinct reduced instance.
+assuming them away. Both constructions depend on k only through the
+threshold (and, for the two-letter one, through its case), so a
+:class:`GraphOracles` shared by the rows of one graph builds and solves each
+reduced instance once per (graph, case) and derives every k's threshold.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -187,20 +189,37 @@ def _check(cond: bool, what: str) -> None:
         raise RuntimeError(f"reduction construction invariant failed: {what}")
 
 
+def _case_and_threshold(theorem: str, n: int, k: int) -> tuple[str | None, int]:
+    """How k enters a reduction of an n-vertex graph: its case and threshold.
+
+    k enters only here; the sequences of one (graph, case) are the same for
+    every k.
+
+    Raises:
+        ValidationError: k < 1.
+    """
+    if k < 1:
+        raise ValidationError("threshold k must be >= 1")
+    if theorem == "T1":
+        return None, k
+    if k > n:
+        return "I", k
+    return "II", k * (n + 2)
+
+
 def reduce_theorem1(g: Graph, k: int) -> ReductionInstance:
     """Single-letter reduction: a^n with the edge set as the only arcs.
 
     S1 = S2 = a^n, P1 = E(g), P2 = empty, same-position matching, threshold k.
     """
-    if k < 1:
-        raise ValidationError("threshold k must be >= 1")
+    case, threshold = _case_and_threshold("T1", g.n, k)
     seq = "a" * g.n
     return ReductionInstance(
         a1=AnnotatedSequence(seq, g.edges),
         a2=AnnotatedSequence(seq),
         mc=MatchConstraint.fragment(1),
-        threshold=k,
-        provenance=Provenance("T1", None, g, k),
+        threshold=threshold,
+        provenance=Provenance("T1", case, g, k),
     )
 
 
@@ -221,18 +240,17 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     holds, and the backward direction fails exactly when alpha(G) < k and
     m <= (n - k)(n + 2); the triangle with k = 2 is the smallest case.
     """
-    if k < 1:
-        raise ValidationError("threshold k must be >= 1")
-    n = g.n
-    if k > n:
+    case, threshold = _case_and_threshold("T2", g.n, k)
+    if case == "I":
         return ReductionInstance(
             a1=AnnotatedSequence("a"),
             a2=AnnotatedSequence("a"),
             mc=MatchConstraint.fragment(1),
-            threshold=k,
-            provenance=Provenance("T2", "I", g, k),
+            threshold=threshold,
+            provenance=Provenance("T2", case, g, k),
         )
 
+    n = g.n
     width = n + 2
     seq = ("b" + "a" * n + "b") * n
     brackets = {((i - 1) * width + 1, i * width) for i in range(1, n + 1)}
@@ -256,8 +274,8 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
         a1=a1,
         a2=a2,
         mc=MatchConstraint.fragment(1),
-        threshold=k * width,
-        provenance=Provenance("T2", "II", g, k),
+        threshold=threshold,
+        provenance=Provenance("T2", case, g, k),
     )
 
 
@@ -399,12 +417,12 @@ REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 class GraphOracles:
     """One graph's oracle results, computed on first use and kept for every k.
 
-    Connectivity and the maximum independent set do not depend on k, and the
-    T1 instance (like the T2 instance for k <= n) depends on k only through
-    its threshold. Passing one GraphOracles to :func:`check_equivalence` for
-    every k of a graph therefore runs the graph oracle once and the sequence
-    oracle once per distinct reduced instance. A budget error is kept too,
-    and raised again for every row that needs the failed result.
+    Connectivity and the maximum independent set do not depend on k, and a
+    reduced instance depends on k only through its case (None for T1, "I"
+    or "II" for T2) and its threshold. So the reduction is built once per
+    (theorem, case), through ``REDUCTIONS[theorem]``, and solved once per
+    case and search budget; each k only sets the threshold. A budget error
+    is kept too, and raised again for every row that needs the failed result.
     """
 
     def __init__(self, g: Graph):
@@ -415,7 +433,10 @@ class GraphOracles:
         return self._memo(("connected",), self.graph.is_connected)
 
     def instance(self, theorem: str, k: int) -> ReductionInstance:
-        return self._memo(("reduce", theorem, k), lambda: REDUCTIONS[theorem](self.graph, k))
+        """The reduction for k, equal to ``REDUCTIONS[theorem](g, k)``."""
+        case, threshold = _case_and_threshold(theorem, self.graph.n, k)
+        built = self._built(theorem, case, k)
+        return replace(built, threshold=threshold, provenance=replace(built.provenance, k=k))
 
     def independence_number(self, max_vertices: int) -> int:
         return self._memo(
@@ -423,11 +444,19 @@ class GraphOracles:
             lambda: max_independent_set(self.graph, max_vertices=max_vertices).size,
         )
 
-    def lapcs_length(self, inst: ReductionInstance, budget: SearchBudget | None) -> int:
-        return self._memo(
-            ("lapcs", inst.a1, inst.a2, inst.mc, budget),
-            lambda: solve(inst.a1, inst.a2, inst.mc, budget=budget).length,
-        )
+    def lapcs_length(self, theorem: str, k: int, budget: SearchBudget | None) -> int:
+        """Optimum of the reduction for k, the same for every k of its case."""
+        case, _ = _case_and_threshold(theorem, self.graph.n, k)
+
+        def compute() -> int:
+            inst = self._built(theorem, case, k)
+            return solve(inst.a1, inst.a2, inst.mc, budget=budget).length
+
+        return self._memo(("lapcs", theorem, case, budget), compute)
+
+    def _built(self, theorem: str, case: str | None, k: int) -> ReductionInstance:
+        # Built for the first k seen of the case; only its threshold is k's.
+        return self._memo(("reduce", theorem, case), lambda: REDUCTIONS[theorem](self.graph, k))
 
     def _memo(self, key: tuple, compute):
         if key not in self._results:
@@ -464,19 +493,19 @@ def check_equivalence(
         oracles = GraphOracles(g)
     elif oracles.graph != g:
         raise ValidationError("oracles were built for another graph")
+    _, threshold = _case_and_threshold(theorem, g.n, k)
     gid = graph_id if graph_id is not None else default_graph_id(g)
-    inst = oracles.instance(theorem, k)
     base = {
         "graph_id": gid,
         "n": g.n,
         "m": g.m,
         "connected": oracles.connected(),
         "k": k,
-        "threshold": inst.threshold,
+        "threshold": threshold,
     }
     try:
         alpha = oracles.independence_number(mis_max_vertices)
-        length = oracles.lapcs_length(inst, search_budget)
+        length = oracles.lapcs_length(theorem, k, search_budget)
     except BudgetError as exc:
         return EquivalenceRow(
             **base,
@@ -489,7 +518,7 @@ def check_equivalence(
             skip_reason=str(exc),
         )
     is_answer = alpha >= k
-    lapcs_answer = length >= inst.threshold
+    lapcs_answer = length >= threshold
     return EquivalenceRow(
         **base,
         is_answer=is_answer,

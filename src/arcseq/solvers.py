@@ -77,14 +77,13 @@ DEFAULT_BUDGET = SearchBudget()
 class SolveResult:
     """Outcome of an exact solve.
 
-    length always equals len(witness.pairs); optimal is True for every
-    solver in this module. stats carries solver-specific diagnostics
+    Every solver in this module is exact, and length always equals
+    len(witness.pairs). stats carries solver-specific diagnostics
     (explored nodes, table sizes, conflict counts).
     """
 
     length: int
     witness: Mapping
-    optimal: bool = True
     stats: dict = field(default_factory=dict)
 
 

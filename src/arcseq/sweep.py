@@ -3,9 +3,10 @@
 A sweep walks a family of graphs (exhaustive over all labeled graphs per
 vertex count, or seeded random draws), measures the equivalence row of each
 (graph, k) pair, and emits a CSV of rows plus a JSON summary. Each graph is
-evaluated once for all its k: the graph oracle runs once per graph and the
-sequence oracle once per distinct reduced instance. Outputs are
-byte-identical across runs for the same configuration and seed.
+evaluated once for all its k: the graph oracle runs once per graph, and each
+reduced instance is built and solved once per (graph, case), because k sets
+only its threshold. Outputs are byte-identical across runs for the same
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class SweepConfig:
                 raise ValidationError("random mode requires a seed")
             if self.random_count is None or self.random_count < 0:
                 raise ValidationError("random mode requires random_count >= 0")
-            if self.edge_probability is None:
-                raise ValidationError("random mode requires edge_probability")
+            if self.edge_probability is None or not 0 <= self.edge_probability <= 1:
+                raise ValidationError("random mode requires 0 <= edge_probability <= 1")
         else:
             raise ValidationError(f"unknown graph source {self.graph_source!r}")
         if self.output_csv is not None:
@@ -152,11 +153,12 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
 
     Each graph is evaluated once for all its k: its rows share one
     :class:`arcseq.reductions.GraphOracles`, so there is one
-    independent-set search per graph and one solve per distinct reduced
-    instance, not one of each per (graph, k) row. Every tenth completed row
-    is recomputed with the exhaustive solver; a disagreement with the
-    recorded value aborts the run. Rows skipped for budget reasons are kept
-    in the report and the summary.
+    independent-set search per graph, and the reduced instance is built and
+    solved once per (graph, case), not once per (graph, k) row; k sets only
+    the threshold. Every tenth completed row is recomputed with the
+    exhaustive solver; a disagreement with the recorded value aborts the
+    run. Rows skipped for budget reasons are kept in the report and the
+    summary.
     """
     rows: list[EquivalenceRow] = []
     spot = {"sampled": 0, "verified": 0, "budget_skipped": 0}
@@ -216,16 +218,8 @@ def render_csv(report: EquivalenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_summary(
-    report: EquivalenceReport,
-    cfg: SweepConfig,
-    spot_checks: dict | None = None,
-) -> str:
+def render_summary(report: EquivalenceReport, cfg: SweepConfig, spot_checks: dict) -> str:
     payload = report.summary()
     payload["config"] = cfg.config_echo()
-    payload["spot_checks"] = spot_checks or {
-        "sampled": 0,
-        "verified": 0,
-        "budget_skipped": 0,
-    }
+    payload["spot_checks"] = spot_checks
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

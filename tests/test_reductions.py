@@ -1,5 +1,7 @@
 """Reduction constructions, witness extraction, and equivalence checking."""
 
+import random
+
 import pytest
 
 from arcseq import (
@@ -21,7 +23,12 @@ from arcseq import (
     solve,
 )
 from arcseq.generate import exhaustive_graphs
-from arcseq.reductions import GraphOracles, IndependenceViolationWarning, Provenance
+from arcseq.reductions import (
+    REDUCTIONS,
+    GraphOracles,
+    IndependenceViolationWarning,
+    Provenance,
+)
 from arcseq.sweep import SweepConfig, run_sweep
 
 from oracles import brute_max_independent_set
@@ -262,15 +269,26 @@ class TestCheckEquivalence:
         assert row.threshold == 1
 
     def test_shared_oracles_give_the_same_rows(self):
+        # k = 1..n+1 crosses the T2 case I/II boundary; the first k seen
+        # builds a case's instance, so each order warms the memo differently.
+        rng = random.Random(7)
         for theorem in ("T1", "T2"):
             for budget in ({}, {"mis_max_vertices": 2}):
-                oracles = GraphOracles(TRIANGLE)
-                shared = [
-                    check_equivalence(TRIANGLE, k, theorem, oracles=oracles, **budget)
-                    for k in (1, 2, 3, 4)
-                ]
-                fresh = [check_equivalence(TRIANGLE, k, theorem, **budget) for k in (1, 2, 3, 4)]
-                assert shared == fresh
+                for n in range(1, 5):
+                    for _, g in exhaustive_graphs(n):
+                        ks = list(range(1, n + 2))
+                        shuffled = rng.sample(ks, len(ks))
+                        fresh = {k: check_equivalence(g, k, theorem, **budget) for k in ks}
+                        for order in (ks, ks[::-1], shuffled):
+                            oracles = GraphOracles(g)
+                            for k in order:
+                                row = check_equivalence(g, k, theorem, oracles=oracles, **budget)
+                                assert row == fresh[k]
+                                assert oracles.instance(theorem, k) == REDUCTIONS[theorem](g, k)
+                            with pytest.raises(ValidationError):
+                                check_equivalence(g, 0, theorem, oracles=oracles, **budget)
+                            with pytest.raises(ValidationError):
+                                oracles.instance(theorem, 0)
 
     def test_oracles_of_another_graph_rejected(self):
         with pytest.raises(ValidationError, match="another graph"):

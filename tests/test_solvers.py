@@ -42,7 +42,6 @@ FRAG1 = MatchConstraint.fragment(1)
 
 def check_witness(result, a1, a2, mc):
     assert result.length == len(result.witness.pairs)
-    assert result.optimal
     assert is_arc_preserving(result.witness, a1, a2)
     assert all(mc.allows(i, j) for i, j in result.witness.pairs)
 

@@ -77,8 +77,9 @@ def test_each_oracle_runs_once_per_graph(monkeypatch, theorem, k_policy, n_max, 
     monkeypatch.setitem(reductions.REDUCTIONS, theorem, counted("reduce", reduce))
     report = run_sweep(SweepConfig(theorem, (1, n_max), k_policy=k_policy))
     assert len(report.rows) == rows
-    # Spot checks reuse the row's instance instead of reducing again.
-    assert calls == {"mis": graphs, "solve": graphs, "reduce": rows}
+    # One reduction per (graph, case), and each of these sweeps has one case
+    # per graph; spot checks reuse the row's instance instead of reducing.
+    assert calls == {"mis": graphs, "solve": graphs, "reduce": graphs}
 
 
 def test_theorem1_exhaustive_n3_has_no_failures(tmp_path):
@@ -215,3 +216,8 @@ def test_invalid_configs_rejected():
         SweepConfig("T1", (1, 2), k_policy="some")
     with pytest.raises(ValidationError):
         SweepConfig("T1", (1, 2), graph_source="mystery")
+    for p in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match="edge_probability"):
+            SweepConfig(
+                "T1", (1, 2), graph_source="random", random_count=0, edge_probability=p, seed=1
+            )
