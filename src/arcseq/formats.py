@@ -63,7 +63,7 @@ def parse_annotated_sequence(text: str) -> AnnotatedSequence:
             raise FormatError(f"non-integer arc endpoint in {raw!r}", line=lineno)
         arcs.append((i, j))
     try:
-        return AnnotatedSequence(seq, frozenset(arcs))
+        return AnnotatedSequence(seq, arcs)
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
 

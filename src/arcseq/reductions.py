@@ -421,8 +421,11 @@ class GraphOracles:
     reduced instance depends on k only through its case (None for T1, "I"
     or "II" for T2) and its threshold. So the reduction is built once per
     (theorem, case), through ``REDUCTIONS[theorem]``, and solved once per
-    case and search budget; each k only sets the threshold. A budget error
-    is kept too, and raised again for every row that needs the failed result.
+    case and search budget; each k only sets the threshold. ``instance``
+    copies the built reduction with k's threshold; ``sequences`` hands out
+    its pair and constraint as built, for callers that need no threshold. A
+    budget error is kept too, and raised again for every row that needs the
+    failed result.
     """
 
     def __init__(self, g: Graph):
@@ -437,6 +440,14 @@ class GraphOracles:
         case, threshold = _case_and_threshold(theorem, self.graph.n, k)
         built = self._built(theorem, case, k)
         return replace(built, threshold=threshold, provenance=replace(built.provenance, k=k))
+
+    def sequences(
+        self, theorem: str, k: int
+    ) -> tuple[AnnotatedSequence, AnnotatedSequence, MatchConstraint]:
+        """The reduced pair and constraint for k, shared by every k of its case."""
+        case, _ = _case_and_threshold(theorem, self.graph.n, k)
+        built = self._built(theorem, case, k)
+        return built.a1, built.a2, built.mc
 
     def independence_number(self, max_vertices: int) -> int:
         return self._memo(

@@ -10,7 +10,8 @@ Three routes, all exact:
   (fragment width 1 / diagonal width 0) reduce to maximum independent set on
   a conflict graph; when every position carries at most one arc per side the
   conflict graph has maximum degree 2, its components are paths and cycles,
-  and each component's lexmin optimum takes one sort plus linear passes.
+  and one linear walk gives each component's lexmin optimum: a closed form
+  up to 3 vertices (and for any odd path), one scan for a longer even path.
   The conflict graph is one neighbour map (:func:`build_conflict_graph`),
   which this route and the identity route of :func:`exact_search` share.
 * :func:`exact_search` -- pruned exhaustive search, the universal
@@ -24,6 +25,8 @@ then S2 position), so outputs are byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import eq
 
 from .core import AnnotatedSequence, Mapping, MatchConstraint
 from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
@@ -206,42 +209,35 @@ def _prefix_conflict_graph(
     a1: AnnotatedSequence, a2: AnnotatedSequence
 ) -> dict[int, set[int]]:
     """The conflict graph over the common prefix, positions 1..min(len)."""
-    candidates = (p for p, (x, y) in enumerate(zip(a1.seq, a2.seq), 1) if x == y)
+    candidates = compress(count(1), map(eq, a1.seq, a2.seq))
     return adjacency(candidates, a1.arcs ^ a2.arcs)
 
 
 def _lexmin_path_mis(order: list[int]) -> list[int]:
     """Lexicographically smallest maximum independent set of a walked path.
 
-    Vertices are decided in ascending label order, each taken when some
-    maximum independent set extends the decisions so far. The decided
-    vertices nearest to walk index i are its nearest smaller-label
-    neighbours on each side (one monotone-stack pass). They bound the free
-    run [lo, hi] around i: one past a skipped neighbour, two past a taken
-    one. A free path of odd length has exactly one maximum independent set
-    (the even offsets), and in an even one every vertex lies in some
-    maximum independent set, so i is taken iff it is free and hi - lo + 1 or
-    i - lo is even. The labels need not rise along the walk.
+    A path of odd length has exactly one maximum independent set, its even
+    offsets: a lone vertex, or both ends of 3 vertices. A path of 2h
+    vertices has h + 1 of them, S_0..S_h, where S_c takes the even offsets
+    before 2c and the odd offsets from 2c on. S_c and S_d (c < d) differ only
+    on order[2c:2d], and the smallest label there decides: S_d is the smaller
+    iff that label sits at an even offset. So one scan in walk order keeps
+    the best cut so far and the smallest label since it, and a 2-vertex path
+    takes its smaller label. The labels need not rise along the walk.
     """
     size = len(order)
-    left = [-1] * size
-    right = [size] * size
-    stack: list[int] = []
-    for i, label in enumerate(order):
-        while stack and order[stack[-1]] > label:
-            right[stack.pop()] = i
-        if stack:
-            left[i] = stack[-1]
-        stack.append(i)
-
-    taken = [False] * size
-    for i in sorted(range(size), key=order.__getitem__):
-        a, b = left[i], right[i]
-        lo = a + 2 if a >= 0 and taken[a] else a + 1
-        hi = b - 2 if b < size and taken[b] else b - 1
-        if lo <= i <= hi and ((hi - lo) % 2 or (i - lo) % 2 == 0):
-            taken[i] = True
-    return [v for v, t in zip(order, taken) if t]
+    if size % 2:
+        return order[::2]
+    if size == 2:
+        return [min(order)]
+    cut, low, low_even = 0, None, False
+    for j in range(0, size, 2):
+        x, y = order[j], order[j + 1]
+        if low is None or x < low or y < low:
+            low, low_even = (x, True) if x < y else (y, False)
+        if low_even:
+            cut, low = j + 2, None
+    return order[:cut:2] + order[cut + 1::2]
 
 
 def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> SolveResult:
@@ -253,9 +249,14 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     disjoint, every vertex has at most one incident arc per side, so the
     conflict graph decomposes into paths and cycles and the maximum
     independent set is computed component by component (the optimum equals
-    candidates minus a minimum vertex cover). Building the graph takes
-    linear time; the lexmin witness of a component of L vertices takes one
-    sort, O(L log L), plus linear passes.
+    candidates minus a minimum vertex cover). The whole solve takes linear
+    time: one pass builds the graph, one walk visits each path from its
+    smaller endpoint and then each cycle from its smallest vertex, stepping
+    to the neighbour it did not come from. A free path's lexmin witness
+    (:func:`_lexmin_path_mis`) is a closed form up to 3 vertices (1: take
+    it; 2: the smaller label; 3: both ends) and for any odd path (its even
+    offsets); only a longer even path takes one scan along the walk. No sort
+    is needed.
 
     Raises:
         InstanceError: unequal sequence lengths.
@@ -263,7 +264,8 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
             exact_search for those instances).
     """
     adj = build_conflict_graph(a1, a2)
-    max_deg = max(map(len, adj.values()), default=0)
+    degrees = list(map(len, adj.values()))
+    max_deg = max(degrees, default=0)
     if max_deg > 2:
         raise CapabilityError(
             f"conflict graph has degree {max_deg} > 2; use exact_search()"
@@ -272,31 +274,44 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     chosen: list[int] = []
     components = 0
     seen: set[int] = set()
-    # Paths first, each walked from its smaller endpoint (degree <= 1);
-    # every vertex left after that lies on a cycle, walked from its smallest
-    # vertex. _lexmin_path_mis picks by label, not by walk order.
-    for is_cycle in (False, True):
-        for v in adj:
-            if v in seen or (not is_cycle and len(adj[v]) == 2):
+    # Paths first, each walked from its smaller endpoint (the keys ascend);
+    # each step goes to the neighbour that is not the previous vertex.
+    for v, nb in adj.items():
+        if len(nb) == 2 or v in seen:
+            continue
+        components += 1
+        if not nb:
+            chosen.append(v)
+            continue
+        prev = v
+        (cur,) = nb
+        order = [v, cur]
+        nb = adj[cur]
+        while len(nb) == 2:
+            x, y = nb
+            prev, cur = cur, y if x == prev else x
+            order.append(cur)
+            nb = adj[cur]
+        seen.update(order)
+        chosen += _lexmin_path_mis(order)
+    # The degree-2 vertices still unseen lie on cycles, if any are left. A
+    # cycle has a maximum independent set through each vertex; taking its
+    # smallest, v, leaves the path strictly between v's two neighbours.
+    if len(seen) + degrees.count(0) < len(adj):
+        for v in [v for v, nb in adj.items() if len(nb) == 2 and v not in seen]:
+            if v in seen:
                 continue
-            seen.add(v)
             components += 1
-            if not adj[v]:
-                chosen.append(v)
-                continue
-            order = [v]
-            step = adj[v] - seen
-            while step:
-                cur = min(step)
-                seen.add(cur)
+            chosen.append(v)
+            prev = v
+            cur, last = adj[v]
+            order = [v, cur]
+            while cur != last:
+                x, y = adj[cur]
+                prev, cur = cur, y if x == prev else x
                 order.append(cur)
-                step = adj[cur] - seen
-            # A cycle has a maximum independent set through each vertex;
-            # taking its smallest, v = order[0], leaves the path order[2:-1].
-            if is_cycle:
-                chosen.append(v)
-                order = order[2:-1]
-            chosen += _lexmin_path_mis(order)
+            seen.update(order)
+            chosen += _lexmin_path_mis(order[2:-1])
 
     return SolveResult(
         length=len(chosen),
@@ -304,7 +319,7 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
         stats={
             "solver": "diagonal_conflict",
             "candidates": len(adj),
-            "conflict_edges": sum(map(len, adj.values())) // 2,
+            "conflict_edges": sum(degrees) // 2,
             "components": components,
         },
     )

@@ -156,9 +156,9 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     independent-set search per graph, and the reduced instance is built and
     solved once per (graph, case), not once per (graph, k) row; k sets only
     the threshold. Every tenth completed row is recomputed with the
-    exhaustive solver; a disagreement with the recorded value aborts the
-    run. Rows skipped for budget reasons are kept in the report and the
-    summary.
+    exhaustive solver on the pair of sequences the oracles already built
+    for its case; a disagreement with the recorded value aborts the run.
+    Rows skipped for budget reasons are kept in the report and the summary.
     """
     rows: list[EquivalenceRow] = []
     spot = {"sampled": 0, "verified": 0, "budget_skipped": 0}
@@ -175,11 +175,11 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
                 oracles=oracles,
             )
             if len(rows) % SPOT_CHECK_STRIDE == 0 and not row.skipped:
-                inst = oracles.instance(cfg.theorem, k)
-                if len(inst.a1) <= cfg.search_budget.max_identity_length:
+                a1, a2, mc = oracles.sequences(cfg.theorem, k)
+                if len(a1) <= cfg.search_budget.max_identity_length:
                     spot["sampled"] += 1
                     try:
-                        redo = exact_search(inst.a1, inst.a2, inst.mc, cfg.search_budget)
+                        redo = exact_search(a1, a2, mc, cfg.search_budget)
                     except BudgetError:
                         spot["budget_skipped"] += 1
                     else:

@@ -284,11 +284,15 @@ class TestCheckEquivalence:
                             for k in order:
                                 row = check_equivalence(g, k, theorem, oracles=oracles, **budget)
                                 assert row == fresh[k]
-                                assert oracles.instance(theorem, k) == REDUCTIONS[theorem](g, k)
+                                inst = REDUCTIONS[theorem](g, k)
+                                assert oracles.instance(theorem, k) == inst
+                                assert oracles.sequences(theorem, k) == (inst.a1, inst.a2, inst.mc)
                             with pytest.raises(ValidationError):
                                 check_equivalence(g, 0, theorem, oracles=oracles, **budget)
                             with pytest.raises(ValidationError):
                                 oracles.instance(theorem, 0)
+                            with pytest.raises(ValidationError):
+                                oracles.sequences(theorem, 0)
 
     def test_oracles_of_another_graph_rejected(self):
         with pytest.raises(ValidationError, match="another graph"):

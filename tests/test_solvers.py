@@ -1,6 +1,7 @@
 """Solver correctness against brute-force oracles and frozen examples."""
 
 import hashlib
+import itertools
 import random
 import string
 
@@ -222,6 +223,19 @@ class TestDiagonalConflictSolve:
         a2 = AnnotatedSequence("aaaa", {(3, 4)})
         assert diagonal_conflict_solve(a1, a2).witness.pairs == ((1, 1), (2, 2))
 
+        # Every labelling of paths of 1-6 vertices and cycles of 3-6: S1-only
+        # arcs on one letter make the conflict graph exactly that component.
+        shapes = [(size, False) for size in range(1, 7)] + [(size, True) for size in range(3, 7)]
+        for size, is_cycle in shapes:
+            for labels in itertools.permutations(range(1, size + 1)):
+                edges = list(zip(labels, labels[1:] + labels[:1] if is_cycle else labels[1:]))
+                a1 = AnnotatedSequence("a" * size, edges)
+                a2 = AnnotatedSequence("a" * size)
+                best, members = brute_lexmin_independent_set(labels, edges)
+                r = diagonal_conflict_solve(a1, a2)
+                assert (r.length, r.witness) == (best, Mapping.identity(members))
+                assert (r.stats["conflict_edges"], r.stats["components"]) == (len(edges), 1)
+
         rng = random.Random(43)
         turns = 0
         for _ in range(300):
@@ -257,6 +271,26 @@ class TestDiagonalConflictSolve:
             assert r.stats["solver"] == "diagonal_conflict"
             assert r.length == length // 2
             assert r.witness.pairs == tuple((p, p) for p in range(1, length, 2))
+
+    def test_large_random_crossing_instance_is_pinned(self):
+        # (length, candidates, conflict_edges, components, sha256 of the
+        # witness pairs), captured on the component walk that stepped by set
+        # difference and sorted every path.
+        rng = random.Random(100_000)
+        s1 = _random_string(rng, "acgu", 100_000)
+        s2 = "".join(ch if rng.random() < 0.9 else rng.choice("acgu") for ch in s1)
+        a1, a2 = (
+            AnnotatedSequence(s, random_arcs(rng, len(s), StructureLevel.CROSSING))
+            for s in (s1, s2)
+        )
+        r = diagonal_conflict_solve(a1, a2)
+        stats = r.stats
+        got = (r.length, stats["candidates"], stats["conflict_edges"], stats["components"],
+               _digest(r.witness.pairs))
+        assert got == (
+            59551, 92466, 51120, 41346,
+            "d4c2b4cc3d46102b9075421e079c4f012a38d1a905a9d50ae525286a1b021b0a",
+        )
 
     def test_degree_three_refused(self):
         a1 = AnnotatedSequence("aaaa", {(1, 2), (1, 3), (1, 4)})
