@@ -11,7 +11,8 @@ Graph (DIMACS-like):
     "e I J"         one line per edge
 
 Writers emit a canonical form (arcs/edges sorted ascending, single spaces,
-trailing newline) so write -> parse -> write is byte-identical.
+trailing newline) so write -> parse -> write is byte-identical. Files are
+UTF-8 whatever the locale; one that does not decode raises FormatError.
 """
 
 from __future__ import annotations
@@ -68,12 +69,20 @@ def parse_annotated_sequence(text: str) -> AnnotatedSequence:
         raise FormatError(str(exc)) from exc
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise FormatError(f"not UTF-8 text: byte {bad:#04x} at offset {exc.start}") from None
+
+
 def load_annotated_sequence(path: str | Path) -> AnnotatedSequence:
-    return parse_annotated_sequence(Path(path).read_text())
+    return parse_annotated_sequence(_read_text(path))
 
 
 def save_annotated_sequence(a: AnnotatedSequence, path: str | Path) -> None:
-    Path(path).write_text(write_annotated_sequence(a))
+    Path(path).write_text(write_annotated_sequence(a), encoding="utf-8")
 
 
 def write_graph(g: Graph) -> str:
@@ -131,8 +140,8 @@ def parse_graph(text: str) -> Graph:
 
 
 def load_graph(path: str | Path) -> Graph:
-    return parse_graph(Path(path).read_text())
+    return parse_graph(_read_text(path))
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(write_graph(g))
+    Path(path).write_text(write_graph(g), encoding="utf-8")

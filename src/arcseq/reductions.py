@@ -20,16 +20,17 @@ same-position matching:
 The construction's backward direction is treated as an empirical question:
 :func:`check_equivalence` measures both implications per (graph, k) pair
 with exact oracles on both sides, and reports disagreements rather than
-assuming them away. Both constructions depend on k only through the
-threshold (and, for the two-letter one, through its case), so a
-:class:`GraphOracles` shared by the rows of one graph builds and solves each
-reduced instance once per (graph, case) and derives every k's threshold.
+assuming them away, one :class:`EquivalenceRow` per pair. Both
+constructions depend on k only through the threshold (and, for the
+two-letter one, through its case), so a :class:`GraphOracles` shared by the
+rows of one graph keeps one reduced pair per (graph, case) and solves it
+once; k sets only the threshold.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -328,29 +329,13 @@ def extract_independent_set(inst: ReductionInstance, m: Mapping) -> frozenset[in
     return vertices
 
 
-# Report columns of an EquivalenceRow, in order: the sweep CSV, the CLI
-# verify line and the summary's counterexample entries all use this list.
-ROW_FIELDS = (
-    "graph_id",
-    "n",
-    "m",
-    "connected",
-    "k",
-    "is_answer",
-    "lapcs_len",
-    "threshold",
-    "lapcs_answer",
-    "forward_ok",
-    "backward_ok",
-)
-
-
-@dataclass(frozen=True)
-class EquivalenceRow:
+class EquivalenceRow(NamedTuple):
     """One measured (graph, k) comparison between the two oracles.
 
-    For skipped rows (a budget was exceeded) the measured fields are None
-    and skip_reason says why; threshold is always available.
+    The fields before skip_reason are the report columns in report order
+    (:data:`ROW_FIELDS`). For skipped rows (a budget was exceeded) the
+    measured fields are None and skip_reason says why; threshold is always
+    available.
     """
 
     graph_id: str
@@ -358,18 +343,24 @@ class EquivalenceRow:
     m: int
     connected: bool
     k: int
-    threshold: int
     is_answer: bool | None
     lapcs_len: int | None
+    threshold: int
     lapcs_answer: bool | None
     forward_ok: bool | None
     backward_ok: bool | None
-    skipped: bool = False
     skip_reason: str | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.skip_reason is not None
 
     @property
     def counterexample(self) -> bool:
         return not self.skipped and not (self.forward_ok and self.backward_ok)
+
+
+ROW_FIELDS = EquivalenceRow._fields[:-1]
 
 
 @dataclass
@@ -396,10 +387,7 @@ class EquivalenceReport:
             "skipped": len(self.skipped_rows),
             "forward_failures": sum(1 for r in done if not r.forward_ok),
             "backward_failures": sum(1 for r in done if not r.backward_ok),
-            "counterexamples": [
-                {name: getattr(r, name) for name in ROW_FIELDS}
-                for r in self.counterexamples
-            ],
+            "counterexamples": [dict(zip(ROW_FIELDS, r)) for r in self.counterexamples],
             "skipped_rows": [
                 {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason}
                 for r in self.skipped_rows
@@ -419,13 +407,11 @@ class GraphOracles:
 
     Connectivity and the maximum independent set do not depend on k, and a
     reduced instance depends on k only through its case (None for T1, "I"
-    or "II" for T2) and its threshold. So the reduction is built once per
-    (theorem, case), through ``REDUCTIONS[theorem]``, and solved once per
-    case and search budget; each k only sets the threshold. ``instance``
-    copies the built reduction with k's threshold; ``sequences`` hands out
-    its pair and constraint as built, for callers that need no threshold. A
-    budget error is kept too, and raised again for every row that needs the
-    failed result.
+    or "II" for T2) and its threshold. So the memo keeps one reduced pair
+    and constraint ``(a1, a2, mc)`` per (theorem, case), built through
+    ``REDUCTIONS[theorem]``, and solves it once per case and search budget;
+    each k's threshold comes from k alone. A budget error is kept too, and
+    raised again for every row that needs the failed result.
     """
 
     def __init__(self, g: Graph):
@@ -435,19 +421,17 @@ class GraphOracles:
     def connected(self) -> bool:
         return self._memo(("connected",), self.graph.is_connected)
 
-    def instance(self, theorem: str, k: int) -> ReductionInstance:
-        """The reduction for k, equal to ``REDUCTIONS[theorem](g, k)``."""
-        case, threshold = _case_and_threshold(theorem, self.graph.n, k)
-        built = self._built(theorem, case, k)
-        return replace(built, threshold=threshold, provenance=replace(built.provenance, k=k))
-
     def sequences(
         self, theorem: str, k: int
     ) -> tuple[AnnotatedSequence, AnnotatedSequence, MatchConstraint]:
         """The reduced pair and constraint for k, shared by every k of its case."""
         case, _ = _case_and_threshold(theorem, self.graph.n, k)
-        built = self._built(theorem, case, k)
-        return built.a1, built.a2, built.mc
+
+        def build() -> tuple[AnnotatedSequence, AnnotatedSequence, MatchConstraint]:
+            inst = REDUCTIONS[theorem](self.graph, k)
+            return inst.a1, inst.a2, inst.mc
+
+        return self._memo(("reduce", theorem, case), build)
 
     def independence_number(self, max_vertices: int) -> int:
         return self._memo(
@@ -458,16 +442,10 @@ class GraphOracles:
     def lapcs_length(self, theorem: str, k: int, budget: SearchBudget | None) -> int:
         """Optimum of the reduction for k, the same for every k of its case."""
         case, _ = _case_and_threshold(theorem, self.graph.n, k)
-
-        def compute() -> int:
-            inst = self._built(theorem, case, k)
-            return solve(inst.a1, inst.a2, inst.mc, budget=budget).length
-
-        return self._memo(("lapcs", theorem, case, budget), compute)
-
-    def _built(self, theorem: str, case: str | None, k: int) -> ReductionInstance:
-        # Built for the first k seen of the case; only its threshold is k's.
-        return self._memo(("reduce", theorem, case), lambda: REDUCTIONS[theorem](self.graph, k))
+        return self._memo(
+            ("lapcs", theorem, case, budget),
+            lambda: solve(*self.sequences(theorem, k), budget=budget).length,
+        )
 
     def _memo(self, key: tuple, compute):
         if key not in self._results:
@@ -494,7 +472,8 @@ def check_equivalence(
 
     Computes max-IS >= k with the graph oracle and LAPCS >= threshold with
     the sequence oracle, then records whether each implies the other.
-    Budget errors on either side mark the row skipped instead of failing.
+    Budget errors on either side give a skipped row, whose skip_reason is
+    the error text, instead of failing; either way the row is built once.
     Rows of the same graph may share one :class:`GraphOracles`, built for
     that graph, so that each oracle result is computed once.
     """
@@ -506,34 +485,36 @@ def check_equivalence(
         raise ValidationError("oracles were built for another graph")
     _, threshold = _case_and_threshold(theorem, g.n, k)
     gid = graph_id if graph_id is not None else default_graph_id(g)
-    base = {
-        "graph_id": gid,
-        "n": g.n,
-        "m": g.m,
-        "connected": oracles.connected(),
-        "k": k,
-        "threshold": threshold,
-    }
+    connected = oracles.connected()
     try:
         alpha = oracles.independence_number(mis_max_vertices)
         length = oracles.lapcs_length(theorem, k, search_budget)
     except BudgetError as exc:
         return EquivalenceRow(
-            **base,
+            graph_id=gid,
+            n=g.n,
+            m=g.m,
+            connected=connected,
+            k=k,
             is_answer=None,
             lapcs_len=None,
+            threshold=threshold,
             lapcs_answer=None,
             forward_ok=None,
             backward_ok=None,
-            skipped=True,
             skip_reason=str(exc),
         )
     is_answer = alpha >= k
     lapcs_answer = length >= threshold
     return EquivalenceRow(
-        **base,
+        graph_id=gid,
+        n=g.n,
+        m=g.m,
+        connected=connected,
+        k=k,
         is_answer=is_answer,
         lapcs_len=length,
+        threshold=threshold,
         lapcs_answer=lapcs_answer,
         forward_ok=(not is_answer) or lapcs_answer,
         backward_ok=(not lapcs_answer) or is_answer,

@@ -153,12 +153,15 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
 
     Each graph is evaluated once for all its k: its rows share one
     :class:`arcseq.reductions.GraphOracles`, so there is one
-    independent-set search per graph, and the reduced instance is built and
-    solved once per (graph, case), not once per (graph, k) row; k sets only
-    the threshold. Every tenth completed row is recomputed with the
-    exhaustive solver on the pair of sequences the oracles already built
-    for its case; a disagreement with the recorded value aborts the run.
-    Rows skipped for budget reasons are kept in the report and the summary.
+    independent-set search per graph, and the reduced pair is built and
+    solved once per (graph, case); k sets only the threshold.
+
+    A row is spot-checked when its index is a multiple of ten, it is not
+    skipped, and its pair fits the identity length budget: the exhaustive
+    solver recomputes it on the pair the oracles built for its case, and a
+    disagreement aborts the run. A skipped row is not replaced by a later
+    one, so skips lower the sample. Skipped rows stay in the report and
+    the summary.
     """
     rows: list[EquivalenceRow] = []
     spot = {"sampled": 0, "verified": 0, "budget_skipped": 0}
@@ -209,7 +212,7 @@ def _cell(value: bool | int | str | None) -> str:
 
 def row_cells(row: EquivalenceRow) -> dict[str, str]:
     """The row's report text, keyed by field name in ROW_FIELDS order."""
-    return {name: _cell(getattr(row, name)) for name in ROW_FIELDS}
+    return dict(zip(ROW_FIELDS, map(_cell, row)))
 
 
 def render_csv(report: EquivalenceReport) -> str:

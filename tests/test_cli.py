@@ -53,6 +53,12 @@ class TestClassify:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["classify", str(tmp_path / "nope.txt")]) == 1
 
+    def test_undecodable_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"ab\xff\n")
+        assert main(["classify", str(path)]) == 1
+        assert capsys.readouterr().err == "arcseq: error: not UTF-8 text: byte 0xff at offset 2\n"
+
 
 class TestSolve:
     def test_unconstrained_lcs(self, tmp_path, capsys):
@@ -161,6 +167,14 @@ class TestVerify:
         assert main(["verify", str(triangle_file), "1", "--theorem", "1"]) == 0
         out = capsys.readouterr().out
         assert "is_answer=true" in out and "lapcs_answer=true" in out
+
+    def test_undecodable_graph_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.col"
+        path.write_bytes(b"p edge 2 1\ne 1 2\n\xc3")
+        assert main(["verify", str(path), "1", "--theorem", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("arcseq: error: not UTF-8 text")
 
 
 class TestSweep:

@@ -5,9 +5,11 @@ import pytest
 from arcseq import AnnotatedSequence, FormatError, Graph, ValidationError
 from arcseq.formats import (
     load_annotated_sequence,
+    load_graph,
     parse_annotated_sequence,
     parse_graph,
     save_annotated_sequence,
+    save_graph,
     write_annotated_sequence,
     write_graph,
 )
@@ -71,6 +73,19 @@ class TestAnnotatedSequenceFormat:
         save_annotated_sequence(a, path)
         assert load_annotated_sequence(path) == a
 
+    def test_files_are_utf8(self, tmp_path):
+        a = AnnotatedSequence("αβγ", {(1, 3)})
+        path = tmp_path / "seq.txt"
+        save_annotated_sequence(a, path)
+        assert path.read_bytes() == "αβγ\n1 3\n".encode("utf-8")
+        assert load_annotated_sequence(path) == a
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"ab\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8 text: byte 0xff at offset 2"):
+            load_annotated_sequence(path)
+
 
 class TestGraphFormat:
     def test_canonical_output(self):
@@ -125,3 +140,16 @@ class TestGraphFormat:
     def test_malformed_header(self):
         with pytest.raises(FormatError, match="p edge N M"):
             parse_graph("p graph 2 0\n")
+
+    def test_file_round_trip(self, tmp_path):
+        g = Graph(3, {(1, 2), (2, 3)})
+        path = tmp_path / "g.col"
+        save_graph(g, path)
+        assert path.read_bytes() == write_graph(g).encode("utf-8")
+        assert load_graph(path) == g
+
+    def test_undecodable_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_bytes(b"c \xe9t\xe9 latin-1\np edge 2 0\n")
+        with pytest.raises(FormatError, match="not UTF-8 text: byte 0xe9 at offset 2"):
+            load_graph(path)

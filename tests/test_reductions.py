@@ -285,12 +285,9 @@ class TestCheckEquivalence:
                                 row = check_equivalence(g, k, theorem, oracles=oracles, **budget)
                                 assert row == fresh[k]
                                 inst = REDUCTIONS[theorem](g, k)
-                                assert oracles.instance(theorem, k) == inst
                                 assert oracles.sequences(theorem, k) == (inst.a1, inst.a2, inst.mc)
                             with pytest.raises(ValidationError):
                                 check_equivalence(g, 0, theorem, oracles=oracles, **budget)
-                            with pytest.raises(ValidationError):
-                                oracles.instance(theorem, 0)
                             with pytest.raises(ValidationError):
                                 oracles.sequences(theorem, 0)
 

@@ -203,6 +203,19 @@ def test_node_budget_skips_hard_rows():
     assert any(not r.skipped for r in report.rows)
 
 
+def test_spot_check_samples_by_row_index(tmp_path):
+    cfg = SweepConfig(
+        "T1", (4, 4), search_budget=SearchBudget(max_nodes=1), output_csv=tmp_path / "s.csv"
+    )
+    report = run_sweep(cfg)
+    spot = json.loads((tmp_path / "s.summary.json").read_text())["spot_checks"]
+    at_stride = [r for r in report.rows[::10] if not r.skipped]
+    completed = [r for r in report.rows if not r.skipped]
+    # Skipped rows at sampled indices make the two readings differ here.
+    assert len(at_stride) != len(completed[::10])
+    assert spot["sampled"] == len(at_stride)
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValidationError):
         SweepConfig("T3", (1, 2))
