@@ -12,7 +12,8 @@ Graph (DIMACS-like):
 
 Writers emit a canonical form (arcs/edges sorted ascending, single spaces,
 trailing newline) so write -> parse -> write is byte-identical. Files are
-UTF-8 whatever the locale; one that does not decode raises FormatError.
+UTF-8 whatever the locale: a leading byte-order mark is skipped on reading
+and never written, and a file that does not decode raises FormatError.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def write_annotated_sequence(a: AnnotatedSequence) -> str:
     # none of the characters it breaks on (\v, \f, \x85, \u2028, ... too).
     if a.seq and a.seq.splitlines() != [a.seq]:
         raise ValidationError("sequences containing line breaks cannot be serialized")
+    try:
+        a.seq.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(
+            f"sequence is not UTF-8 encodable: {exc.reason} at position {exc.start + 1}"
+        ) from None
     lines = [a.seq]
     lines.extend(f"{i} {j}" for i, j in sorted(a.arcs))
     return "\n".join(lines) + "\n"
@@ -70,11 +77,13 @@ def parse_annotated_sequence(text: str) -> AnnotatedSequence:
 
 
 def _read_text(path: str | Path) -> str:
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start]
-        raise FormatError(f"not UTF-8 text: byte {bad:#04x} at offset {exc.start}") from None
+        # exc.object lacks the byte-order mark, if the file starts with one.
+        at = exc.start + len(data) - len(exc.object)
+        raise FormatError(f"not UTF-8 text: byte {data[at]:#04x} at offset {at}") from None
 
 
 def load_annotated_sequence(path: str | Path) -> AnnotatedSequence:

@@ -12,10 +12,11 @@ Three routes, all exact:
   conflict graph has maximum degree 2, its components are paths and cycles,
   and one linear walk gives each component's lexmin optimum: a closed form
   up to 3 vertices (and for any odd path), one scan for a longer even path.
-  The conflict graph is one neighbour map (:func:`build_conflict_graph`),
-  which this route and the identity route of :func:`exact_search` share.
+  It walks two flat neighbour slots per position, not a neighbour map.
 * :func:`exact_search` -- pruned exhaustive search, the universal
-  small-instance oracle.
+  small-instance oracle. Its identity route alone reads the conflict graph
+  as a neighbour map (:func:`build_conflict_graph`). Both identity routes
+  take the candidates and conflict edges from :func:`_conflict_edges`.
 
 :func:`solve` dispatches between them. Every solver returns the
 lexicographically smallest optimal witness (pair list sorted by S1 position,
@@ -198,19 +199,35 @@ def build_conflict_graph(
     Raises:
         InstanceError: the sequences have different lengths.
     """
+    _require_equal_lengths(a1, a2)
+    return _prefix_conflict_graph(a1, a2)
+
+
+def _require_equal_lengths(a1: AnnotatedSequence, a2: AnnotatedSequence) -> None:
     if len(a1) != len(a2):
         raise InstanceError(
             f"conflict graph needs equal lengths, got {len(a1)} and {len(a2)}"
         )
-    return _prefix_conflict_graph(a1, a2)
+
+
+def _conflict_edges(
+    a1: AnnotatedSequence, a2: AnnotatedSequence
+) -> tuple[bytes, frozenset[tuple[int, int]]]:
+    """The one definition of the conflict graph over positions 1..min(len).
+
+    Returns (flags, arcs): flags[p] is 1 exactly when p is a candidate,
+    S1[p] = S2[p] (flags[0] is 0), and arcs holds the arcs of exactly one
+    side. The conflict edges are the arcs whose two ends are candidates.
+    """
+    return bytes(1) + bytes(map(eq, a1.seq, a2.seq)), a1.arcs ^ a2.arcs
 
 
 def _prefix_conflict_graph(
     a1: AnnotatedSequence, a2: AnnotatedSequence
 ) -> dict[int, set[int]]:
-    """The conflict graph over the common prefix, positions 1..min(len)."""
-    candidates = compress(count(1), map(eq, a1.seq, a2.seq))
-    return adjacency(candidates, a1.arcs ^ a2.arcs)
+    """The conflict graph over the common prefix, as a neighbour map."""
+    flags, arcs = _conflict_edges(a1, a2)
+    return adjacency(compress(count(), flags), arcs)
 
 
 def _lexmin_path_mis(order: list[int]) -> list[int]:
@@ -250,79 +267,109 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     conflict graph decomposes into paths and cycles and the maximum
     independent set is computed component by component (the optimum equals
     candidates minus a minimum vertex cover). The whole solve takes linear
-    time: one pass builds the graph, one walk visits each path from its
-    smaller endpoint and then each cycle from its smallest vertex, stepping
-    to the neighbour it did not come from. A free path's lexmin witness
-    (:func:`_lexmin_path_mis`) is a closed form up to 3 vertices (1: take
-    it; 2: the smaller label; 3: both ends) and for any odd path (its even
-    offsets); only a longer even path takes one scan along the walk. No sort
-    is needed.
+    time. One pass over the conflict edges fills two flat neighbour slots
+    per position and a degree byte, and declines the instance as soon as a
+    vertex gets a third neighbour, before any walk. Then one walk visits
+    each path from its smaller endpoint and then each cycle from its
+    smallest vertex, stepping to the neighbour it did not come from. The
+    graph lives in these flat lists, not in one set per candidate, so the
+    cyclic garbage collector has little to traverse. A free path's lexmin
+    witness (:func:`_lexmin_path_mis`) is a closed form up to 3 vertices (1:
+    take it; 2: the smaller label; 3: both ends) and for any odd path (its
+    even offsets); only a longer even path takes one scan along the walk. No
+    sort is needed.
 
     Raises:
         InstanceError: unequal sequence lengths.
         CapabilityError: some conflict vertex has degree > 2 (use
             exact_search for those instances).
     """
-    adj = build_conflict_graph(a1, a2)
-    degrees = list(map(len, adj.values()))
-    max_deg = max(degrees, default=0)
-    if max_deg > 2:
-        raise CapabilityError(
-            f"conflict graph has degree {max_deg} > 2; use exact_search()"
-        )
+    _require_equal_lengths(a1, a2)
+    chosen, stats = _degree2_mis(*_conflict_edges(a1, a2))
+    # The witness is built after _degree2_mis has returned and freed its slot
+    # lists: its pairs set off young collections, which would traverse them.
+    return SolveResult(length=len(chosen), witness=Mapping.identity(chosen), stats=stats)
 
+
+def _degree2_mis(flags: bytes, arcs: frozenset[tuple[int, int]]) -> tuple[list[int], dict]:
+    """The walk of :func:`diagonal_conflict_solve`, on flat neighbour slots.
+
+    Takes :func:`_conflict_edges`' output and returns the chosen vertices
+    (in no order) and the lane's stats.
+
+    Raises:
+        CapabilityError: a conflict vertex has a third neighbour.
+    """
+    # Two flat neighbour slots per position, filled in edge order.
+    size = len(flags)
+    first = [0] * size
+    second = [0] * size
+    degree = bytearray(size)
+    for p, q in arcs:
+        if flags[p] and flags[q]:
+            dp, dq = degree[p], degree[q]
+            if dp == 2 or dq == 2:
+                raise CapabilityError(
+                    f"conflict vertex {p if dp == 2 else q} has more than 2 "
+                    "neighbours; use exact_search()"
+                )
+            (second if dp else first)[p] = q
+            (second if dq else first)[q] = p
+            degree[p] = dp + 1
+            degree[q] = dq + 1
+
+    candidates = flags.count(1)
     chosen: list[int] = []
-    components = 0
-    seen: set[int] = set()
-    # Paths first, each walked from its smaller endpoint (the keys ascend);
+    components = visited = 0
+    seen = bytearray(size)
+    # Paths first, each walked from its smaller endpoint (candidates ascend);
     # each step goes to the neighbour that is not the previous vertex.
-    for v, nb in adj.items():
-        if len(nb) == 2 or v in seen:
+    for v in compress(count(), flags):
+        if degree[v] == 2 or seen[v]:
             continue
         components += 1
-        if not nb:
+        if not degree[v]:
             chosen.append(v)
+            visited += 1
             continue
-        prev = v
-        (cur,) = nb
+        prev, cur = v, first[v]
         order = [v, cur]
-        nb = adj[cur]
-        while len(nb) == 2:
-            x, y = nb
-            prev, cur = cur, y if x == prev else x
+        while degree[cur] == 2:
+            seen[cur] = 1
+            nxt = first[cur]
+            if nxt == prev:
+                nxt = second[cur]
+            prev, cur = cur, nxt
             order.append(cur)
-            nb = adj[cur]
-        seen.update(order)
+        seen[cur] = 1
+        visited += len(order)
         chosen += _lexmin_path_mis(order)
-    # The degree-2 vertices still unseen lie on cycles, if any are left. A
-    # cycle has a maximum independent set through each vertex; taking its
+    # The vertices still unvisited lie on cycles, if any are left. A cycle
+    # has a maximum independent set through each vertex; taking its
     # smallest, v, leaves the path strictly between v's two neighbours.
-    if len(seen) + degrees.count(0) < len(adj):
-        for v in [v for v, nb in adj.items() if len(nb) == 2 and v not in seen]:
-            if v in seen:
+    if visited < candidates:
+        for v in compress(count(), flags):
+            if degree[v] != 2 or seen[v]:
                 continue
             components += 1
             chosen.append(v)
-            prev = v
-            cur, last = adj[v]
+            prev, cur, last = v, first[v], second[v]
             order = [v, cur]
             while cur != last:
-                x, y = adj[cur]
-                prev, cur = cur, y if x == prev else x
+                seen[cur] = 1
+                nxt = first[cur]
+                if nxt == prev:
+                    nxt = second[cur]
+                prev, cur = cur, nxt
                 order.append(cur)
-            seen.update(order)
+            seen[cur] = 1
             chosen += _lexmin_path_mis(order[2:-1])
-
-    return SolveResult(
-        length=len(chosen),
-        witness=Mapping.identity(chosen),
-        stats={
-            "solver": "diagonal_conflict",
-            "candidates": len(adj),
-            "conflict_edges": sum(degrees) // 2,
-            "components": components,
-        },
-    )
+    return chosen, {
+        "solver": "diagonal_conflict",
+        "candidates": candidates,
+        "conflict_edges": sum(degree) // 2,
+        "components": components,
+    }
 
 
 def _identity_exact(
@@ -331,7 +378,8 @@ def _identity_exact(
     """Identity-constrained exhaustive search as maximum independent set.
 
     Only the common prefix can be matched, so the conflict graph is built
-    over positions 1..min(len(a1), len(a2)).
+    over positions 1..min(len(a1), len(a2)). The bitset engine reads it as a
+    neighbour map; the budget caps this route at max_identity_length.
     """
     adj = _prefix_conflict_graph(a1, a2)
     size, members, nodes = lexmin_maximum_independent_set(

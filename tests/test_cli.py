@@ -84,6 +84,14 @@ class TestSolve:
         assert main(["solve", str(f), str(f), "--fragment", "1"]) == 0
         assert capsys.readouterr().out == "1\n1 1\n"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Read as a letter, the mark would shift every position by one.
+        f1, f2 = tmp_path / "bom.txt", tmp_path / "plain.txt"
+        f1.write_bytes(b"\xef\xbb\xbfab\n1 2\n")
+        f2.write_bytes(b"ab\n1 2\n")
+        assert main(["solve", str(f1), str(f2), "--fragment", "1"]) == 0
+        assert capsys.readouterr().out == "2\n1 1\n2 2\n"
+
     def test_constraint_flag_required(self, tmp_path, capsys):
         f = tmp_path / "s.txt"
         f.write_text("ab\n")
@@ -134,6 +142,13 @@ class TestReduce:
         assert capsys.readouterr().out == "threshold 2\n"
         a1 = load_annotated_sequence(tmp_path / "t1.a1.txt")
         assert a1.seq == "aaa" and a1.arcs == TRIANGLE.edges
+
+    def test_graph_file_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.col"
+        path.write_bytes(b"\xef\xbb\xbfp edge 3 3\ne 1 2\ne 1 3\ne 2 3\n")
+        assert main(["reduce", str(path), "2", "--theorem", "1",
+                     "--out", str(tmp_path / "t1")]) == 0
+        assert capsys.readouterr().out == "threshold 2\n"
 
     def test_written_files_match_canonical_form(self, tmp_path, triangle_file):
         prefix = tmp_path / "c"

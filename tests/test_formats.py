@@ -86,6 +86,22 @@ class TestAnnotatedSequenceFormat:
         with pytest.raises(FormatError, match="not UTF-8 text: byte 0xff at offset 2"):
             load_annotated_sequence(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(b"\xef\xbb\xbfabc\n1 3\n")
+        assert load_annotated_sequence(path) == AnnotatedSequence("abc", {(1, 3)})
+        # The offset of a bad byte still counts the mark's three bytes.
+        path.write_bytes(b"\xef\xbb\xbfab\xff\n")
+        with pytest.raises(FormatError, match="byte 0xff at offset 5"):
+            load_annotated_sequence(path)
+
+    def test_unencodable_sequence_unserializable(self, tmp_path):
+        a = AnnotatedSequence("a\ud800b", {(1, 3)})
+        path = tmp_path / "seq.txt"
+        with pytest.raises(ValidationError, match="not UTF-8 encodable"):
+            save_annotated_sequence(a, path)
+        assert not path.exists()
+
 
 class TestGraphFormat:
     def test_canonical_output(self):
@@ -153,3 +169,8 @@ class TestGraphFormat:
         path.write_bytes(b"c \xe9t\xe9 latin-1\np edge 2 0\n")
         with pytest.raises(FormatError, match="not UTF-8 text: byte 0xe9 at offset 2"):
             load_graph(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "g.col"
+        path.write_bytes(b"\xef\xbb\xbfp edge 3 1\ne 1 2\n")
+        assert load_graph(path) == Graph(3, {(1, 2)})

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import string
+import tracemalloc
 
 import pytest
 
@@ -291,6 +292,58 @@ class TestDiagonalConflictSolve:
             59551, 92466, 51120, 41346,
             "d4c2b4cc3d46102b9075421e079c4f012a38d1a905a9d50ae525286a1b021b0a",
         )
+
+    def test_lane_allocation_peak(self):
+        # tracemalloc peaks on Python 3.11: 1.7 MiB on two neighbour slots per
+        # position, 6.4 MiB when the lane built one neighbour set per candidate.
+        rng = random.Random(20_000)
+        s1 = _random_string(rng, "acgu", 20_000)
+        s2 = "".join(ch if rng.random() < 0.9 else rng.choice("acgu") for ch in s1)
+        a1, a2 = (
+            AnnotatedSequence(s, random_arcs(rng, len(s), StructureLevel.CROSSING))
+            for s in (s1, s2)
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            diagonal_conflict_solve(a1, a2)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
+    def test_lane_refuses_exactly_where_the_map_has_degree_above_two(self):
+        rng = random.Random(2011)
+        refused = crowded = 0
+        for level in StructureLevel:
+            for _ in range(200):
+                n = rng.randint(1, 12)
+                unlimited = level is StructureLevel.UNLIMITED
+                # The unlimited sampler draws density * n arcs.
+                density = rng.uniform(0.5, 2.0) if unlimited else rng.uniform(0.2, 0.6)
+                a1 = random_annotated_sequence(rng, n, "ab", level, density)
+                arcs2 = random_arcs(rng, n, level, density)
+                if unlimited:
+                    # Arcs on both sides cancel out of the conflict graph.
+                    arcs2 |= {arc for arc in a1.arcs if rng.random() < 0.5}
+                seq2 = "".join(ch if rng.random() < 0.7 else "b" for ch in a1.seq)
+                a2 = AnnotatedSequence(seq2, arcs2)
+                neighbours = build_conflict_graph(a1, a2)
+                degrees = [len(nb) for nb in neighbours.values()]
+                if max(degrees, default=0) > 2:
+                    with pytest.raises(CapabilityError, match=r"use exact_search\(\)$"):
+                        diagonal_conflict_solve(a1, a2)
+                    refused += 1
+                    continue
+                stats = diagonal_conflict_solve(a1, a2).stats
+                assert stats["candidates"] == len(neighbours)
+                assert stats["conflict_edges"] * 2 == sum(degrees)
+                # Accepted although a position ends more than two arcs: the
+                # surplus are shared arcs or reach a non-candidate.
+                ends = [p for arc in itertools.chain(a1.arcs, a2.arcs) for p in arc]
+                crowded += any(ends.count(p) > 2 for p in set(ends))
+        assert min(refused, crowded) >= 50
 
     def test_degree_three_refused(self):
         a1 = AnnotatedSequence("aaaa", {(1, 2), (1, 3), (1, 4)})
