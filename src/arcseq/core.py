@@ -46,6 +46,17 @@ __all__ = [
 Arc = tuple[int, int]
 
 
+def _trusted(cls, **fields):
+    """A frozen dataclass instance from canonical fields, skipping its checks.
+
+    Only for values valid by construction: ``__post_init__`` does not run.
+    The public constructors keep every check.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class StructureLevel(IntEnum):
     """Arc-structure levels, ordered from most to least restrictive.
 

@@ -11,7 +11,7 @@ from typing import Iterator
 
 from .core import AnnotatedSequence, Arc, StructureLevel
 from .errors import ValidationError
-from .reductions import Graph, edge_universe
+from .reductions import Graph, _canonical_graph, edge_universe
 
 __all__ = [
     "exhaustive_graphs",
@@ -33,11 +33,16 @@ def exhaustive_graphs(n: int) -> Iterator[tuple[int, Graph]]:
 
 
 def random_graph(rng: random.Random, n: int, edge_probability: float) -> Graph:
-    """One draw from the G(n, p) model."""
+    """One draw from the G(n, p) model, over the canonical edge universe.
+
+    Raises:
+        ValidationError: n < 0 or p outside [0, 1].
+    """
     if not 0.0 <= edge_probability <= 1.0:
         raise ValidationError("edge probability must be within [0, 1]")
-    edges = frozenset(e for e in edge_universe(n) if rng.random() < edge_probability)
-    return Graph(n, edges)
+    return _canonical_graph(
+        n, [e for e in edge_universe(n) if rng.random() < edge_probability]
+    )
 
 
 def _arcs_chain(rng: random.Random, n: int, density: float) -> set[Arc]:

@@ -13,6 +13,7 @@ depth is not limited by Python's recursion limit.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Mapping as MappingABC, Set
 
 from .errors import BudgetError
@@ -34,6 +35,17 @@ def adjacency(
             adj[p].add(q)
             adj[q].add(p)
     return adj
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask: int) -> bytes:
+    """Byte t is 1 if bit t of mask (>= 0) is set, else 0, up to its top bit.
+
+    A selector for :func:`itertools.compress` over a mask's universe.
+    """
+    return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
 
 
 def _clique_cover_size(cand: int, nbr: list[int], limit: int) -> int:
@@ -83,19 +95,35 @@ def lexmin_maximum_independent_set(
     Raises:
         BudgetError: more than max_nodes search nodes were explored.
     """
+    # nbr[i]: the neighbours of the rank-i vertex that rank above it, the
+    # only ones the search reads (it removes a vertex's neighbours from
+    # candidates at or after it). An edge listed on either side lands there.
     order = sorted(set(vertices))
-    rank = {v: i for i, v in enumerate(order)}
-    nbr = [0] * len(order)
-    for i, v in enumerate(order):
-        for u in neighbors.get(v, ()):
-            j = rank.get(u)
-            if j is not None and j != i:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
+    n = len(order)
+    nbr = [0] * n
+    if n and order[-1] - order[0] == n - 1:
+        # Contiguous labels, as in every graph on 1..n: a label's rank is
+        # its offset from the lowest label, so no rank table is needed.
+        low, high = order[0], order[-1]
+        for v in order:
+            for u in neighbors.get(v, ()):
+                if v < u <= high:
+                    nbr[v - low] |= 1 << u - low
+                elif low <= u < v:
+                    nbr[u - low] |= 1 << v - low
+    else:
+        rank = {v: i for i, v in enumerate(order)}
+        for i, v in enumerate(order):
+            for u in neighbors.get(v, ()):
+                j = rank.get(u, i)
+                if j > i:
+                    nbr[i] |= 1 << j
+                elif j < i:
+                    nbr[j] |= 1 << i
 
     best_size, best_set = 0, 0
     nodes = 0
-    stack = [((1 << len(order)) - 1, 0, 0)]
+    stack = [((1 << n) - 1, 0, 0)]
     while stack:
         cand, size, chosen = stack.pop()
         nodes += 1
@@ -114,5 +142,5 @@ def lexmin_maximum_independent_set(
         stack.append((cand ^ low, size, chosen))
         stack.append(((cand & ~nbr[low.bit_length() - 1]) ^ low, size + 1, chosen | low))
 
-    witness = tuple(v for i, v in enumerate(order) if best_set >> i & 1)
+    witness = tuple(compress(order, bit_flags(best_set)))
     return best_size, witness, nodes

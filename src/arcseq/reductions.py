@@ -29,8 +29,10 @@ once; k sets only the threshold.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -39,11 +41,12 @@ from .core import (
     Mapping,
     MatchConstraint,
     StructureLevel,
+    _trusted,
     is_arc_preserving,
     validate_mapping,
 )
 from .errors import BudgetError, ValidationError
-from .mis import adjacency, lexmin_maximum_independent_set
+from .mis import adjacency, bit_flags, lexmin_maximum_independent_set
 from .solvers import SearchBudget, solve
 
 __all__ = [
@@ -99,17 +102,25 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
+        """True when every vertex is reachable from vertex 1 (n <= 1: True).
+
+        A search over neighbour bitmasks, bit v standing for vertex v.
+        """
+        n = self.n
+        if n <= 1:
             return True
-        adj = adjacency(range(1, self.n + 1), self.edges)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        nbr = [0] * (n + 1)
+        for i, j in self.edges:
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        seen = frontier = 2
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen == (1 << n + 1) - 2
 
     def edge_mask(self) -> int:
         """Bitmask of the edge set over the lexicographic edge universe."""
@@ -121,15 +132,35 @@ class Graph:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
+        """The graph whose edge b is set exactly when bit b of mask is.
+
+        Edges are numbered by :func:`edge_universe`, so they are canonical
+        by construction and not re-checked.
+
+        Raises:
+            ValidationError: mask outside 0..2^(n(n-1)/2) - 1, or n < 0.
+        """
         universe = edge_universe(n)
-        if mask < 0 or mask >= 1 << len(universe):
+        if mask < 0 or mask >> len(universe):
             raise ValidationError(f"mask {mask} out of range for n={n}")
-        return cls(n, frozenset(e for b, e in enumerate(universe) if mask >> b & 1))
+        return _canonical_graph(n, compress(universe, bit_flags(mask)))
 
 
-def edge_universe(n: int) -> list[Arc]:
+def _canonical_graph(n: int, edges: Iterable[Arc]) -> Graph:
+    """``Graph(n, edges)`` for edges already canonical and in range.
+
+    Only n is checked. The edge set is built as the constructor builds it,
+    so the two graphs agree on their repr too.
+    """
+    if n < 0:
+        raise ValidationError("vertex count must be non-negative")
+    return _trusted(Graph, n=n, edges=frozenset(set(edges)))
+
+
+@functools.cache
+def edge_universe(n: int) -> tuple[Arc, ...]:
     """All possible edges of an n-vertex graph in lexicographic order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 class MaxIndependentSet(NamedTuple):
@@ -185,6 +216,10 @@ class ReductionInstance:
     provenance: Provenance
 
 
+# The same-position constraint of both constructions.
+_IDENTITY = MatchConstraint.fragment(1)
+
+
 def _check(cond: bool, what: str) -> None:
     if not cond:
         raise RuntimeError(f"reduction construction invariant failed: {what}")
@@ -212,13 +247,15 @@ def reduce_theorem1(g: Graph, k: int) -> ReductionInstance:
     """Single-letter reduction: a^n with the edge set as the only arcs.
 
     S1 = S2 = a^n, P1 = E(g), P2 = empty, same-position matching, threshold k.
+    g's canonical edges are already canonical arcs of a^n, so the sequences
+    are built without re-checking them.
     """
     case, threshold = _case_and_threshold("T1", g.n, k)
     seq = "a" * g.n
     return ReductionInstance(
-        a1=AnnotatedSequence(seq, g.edges),
-        a2=AnnotatedSequence(seq),
-        mc=MatchConstraint.fragment(1),
+        a1=_trusted(AnnotatedSequence, seq=seq, arcs=g.edges),
+        a2=_trusted(AnnotatedSequence, seq=seq, arcs=frozenset()),
+        mc=_IDENTITY,
         threshold=threshold,
         provenance=Provenance("T1", case, g, k),
     )
@@ -240,13 +277,17 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     so the optimum is n(n+2) - m. The forward direction therefore always
     holds, and the backward direction fails exactly when alpha(G) < k and
     m <= (n - k)(n + 2); the triangle with k = 2 is the smallest case.
+
+    The arcs are built canonical and in range, so the sequences skip the
+    constructor's checks; the construction invariants below are checked.
     """
     case, threshold = _case_and_threshold("T2", g.n, k)
     if case == "I":
+        a = _trusted(AnnotatedSequence, seq="a", arcs=frozenset())
         return ReductionInstance(
-            a1=AnnotatedSequence("a"),
-            a2=AnnotatedSequence("a"),
-            mc=MatchConstraint.fragment(1),
+            a1=a,
+            a2=a,
+            mc=_IDENTITY,
             threshold=threshold,
             provenance=Provenance("T2", case, g, k),
         )
@@ -260,8 +301,8 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
         alpha = (i - 1) * width + j + 1
         beta = (j - 1) * width + i + 1
         edge_arcs.add((min(alpha, beta), max(alpha, beta)))
-    a1 = AnnotatedSequence(seq, frozenset(brackets | edge_arcs))
-    a2 = AnnotatedSequence(seq, frozenset(brackets))
+    a1 = _trusted(AnnotatedSequence, seq=seq, arcs=frozenset(brackets | edge_arcs))
+    a2 = _trusted(AnnotatedSequence, seq=seq, arcs=frozenset(brackets))
 
     _check(len(seq) == n * width, "sequence length n(n+2)")
     _check(len(a1.arcs) == g.m + n, "|P1| = |E| + n")
@@ -274,7 +315,7 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     return ReductionInstance(
         a1=a1,
         a2=a2,
-        mc=MatchConstraint.fragment(1),
+        mc=_IDENTITY,
         threshold=threshold,
         provenance=Provenance("T2", case, g, k),
     )
@@ -403,9 +444,10 @@ REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 
 
 class GraphOracles:
-    """One graph's oracle results, computed on first use and kept for every k.
+    """One graph's oracle results, each computed once and kept for every k.
 
-    Connectivity and the maximum independent set do not depend on k, and a
+    Connectivity and the maximum independent set do not depend on k;
+    connectivity is computed on construction and kept in ``connected``. A
     reduced instance depends on k only through its case (None for T1, "I"
     or "II" for T2) and its threshold. So the memo keeps one reduced pair
     and constraint ``(a1, a2, mc)`` per (theorem, case), built through
@@ -416,10 +458,8 @@ class GraphOracles:
 
     def __init__(self, g: Graph):
         self.graph = g
+        self.connected = g.is_connected()
         self._results: dict[tuple, object] = {}
-
-    def connected(self) -> bool:
-        return self._memo(("connected",), self.graph.is_connected)
 
     def sequences(
         self, theorem: str, k: int
@@ -448,12 +488,14 @@ class GraphOracles:
         )
 
     def _memo(self, key: tuple, compute):
-        if key not in self._results:
+        try:
+            value = self._results[key]
+        except KeyError:
             try:
-                self._results[key] = compute()
+                value = compute()
             except BudgetError as exc:
-                self._results[key] = exc
-        value = self._results[key]
+                value = exc
+            self._results[key] = value
         if isinstance(value, BudgetError):
             raise value.with_traceback(None)
         return value
@@ -481,17 +523,18 @@ def check_equivalence(
         raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
     if oracles is None:
         oracles = GraphOracles(g)
-    elif oracles.graph != g:
+    elif oracles.graph is not g and oracles.graph != g:
         raise ValidationError("oracles were built for another graph")
     _, threshold = _case_and_threshold(theorem, g.n, k)
-    gid = graph_id if graph_id is not None else default_graph_id(g)
-    connected = oracles.connected()
+    if graph_id is None:
+        graph_id = default_graph_id(g)
+    connected = oracles.connected
     try:
         alpha = oracles.independence_number(mis_max_vertices)
-        length = oracles.lapcs_length(theorem, k, search_budget)
+        lapcs_len = oracles.lapcs_length(theorem, k, search_budget)
     except BudgetError as exc:
         return EquivalenceRow(
-            graph_id=gid,
+            graph_id=graph_id,
             n=g.n,
             m=g.m,
             connected=connected,
@@ -505,17 +548,11 @@ def check_equivalence(
             skip_reason=str(exc),
         )
     is_answer = alpha >= k
-    lapcs_answer = length >= threshold
+    lapcs_answer = lapcs_len >= threshold
+    forward_ok = (not is_answer) or lapcs_answer
+    backward_ok = (not lapcs_answer) or is_answer
+    # Positional, in field order: a NamedTuple binds keywords far slower.
     return EquivalenceRow(
-        graph_id=gid,
-        n=g.n,
-        m=g.m,
-        connected=connected,
-        k=k,
-        is_answer=is_answer,
-        lapcs_len=length,
-        threshold=threshold,
-        lapcs_answer=lapcs_answer,
-        forward_ok=(not is_answer) or lapcs_answer,
-        backward_ok=(not lapcs_answer) or is_answer,
+        graph_id, g.n, g.m, connected, k, is_answer, lapcs_len, threshold,
+        lapcs_answer, forward_ok, backward_ok,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import eq
 
-from .core import AnnotatedSequence, Mapping, MatchConstraint
+from .core import AnnotatedSequence, Mapping, MatchConstraint, _trusted
 from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
 from .mis import adjacency, lexmin_maximum_independent_set
 
@@ -178,9 +178,10 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
             pairs.append((i, j2))
             j = j2 + 1
             target -= 1
+    # The pairs rise strictly in both coordinates by construction.
     return SolveResult(
         length=len(pairs),
-        witness=Mapping(tuple(pairs)),
+        witness=_trusted(Mapping, pairs=tuple(pairs)),
         stats={"solver": "lcs_dp", "table_cells": (n + 1) * (m + 1)},
     )
 
@@ -288,7 +289,13 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     chosen, stats = _degree2_mis(*_conflict_edges(a1, a2))
     # The witness is built after _degree2_mis has returned and freed its slot
     # lists: its pairs set off young collections, which would traverse them.
-    return SolveResult(length=len(chosen), witness=Mapping.identity(chosen), stats=stats)
+    chosen.sort()
+    return SolveResult(length=len(chosen), witness=_identity_witness(chosen), stats=stats)
+
+
+def _identity_witness(positions: list[int] | tuple[int, ...]) -> Mapping:
+    """The identity mapping on distinct ascending positions >= 1, unchecked."""
+    return _trusted(Mapping, pairs=tuple(zip(positions, positions)))
 
 
 def _degree2_mis(flags: bytes, arcs: frozenset[tuple[int, int]]) -> tuple[list[int], dict]:
@@ -387,7 +394,7 @@ def _identity_exact(
     )
     return SolveResult(
         length=size,
-        witness=Mapping.identity(members),
+        witness=_identity_witness(members),
         stats={
             "solver": "exact_search",
             "nodes": nodes,

@@ -152,9 +152,13 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     """Execute the sweep, spot-check rows, and write the configured outputs.
 
     Each graph is evaluated once for all its k: its rows share one
-    :class:`arcseq.reductions.GraphOracles`, so there is one
-    independent-set search per graph, and the reduced pair is built and
-    solved once per (graph, case); k sets only the threshold.
+    :class:`arcseq.reductions.GraphOracles`, so connectivity and the
+    independence number (one independent-set search) are computed once per
+    graph, and the reduced pair is built and solved once per (graph, case);
+    k sets only the threshold. The solve is a second independent-set search
+    when the degree <= 2 lane declines the pair and the identity route of
+    exact_search runs instead (on T1, a graph with a vertex of degree 3 or
+    more), and each spot check below is one more.
 
     A row is spot-checked when its index is a multiple of ten, it is not
     skipped, and its pair fits the identity length budget: the exhaustive
@@ -215,10 +219,31 @@ def row_cells(row: EquivalenceRow) -> dict[str, str]:
     return dict(zip(ROW_FIELDS, map(_cell, row)))
 
 
+# _cell by lookup, for a column whose values are all bools or None, or all
+# non-bools or None. A column holding both kinds falls back to _cell, since
+# True == 1 and False == 0 share one dict key.
+_FLAG_CELLS = {True: "true", False: "false", None: "skipped"}
+_NONE_CELL = {None: "skipped"}
+
+
+def _column_cells(values: tuple) -> Iterator[str]:
+    kinds = set(map(type, values))
+    if kinds <= {bool, type(None)}:
+        return map(_FLAG_CELLS.__getitem__, values)
+    if bool in kinds:
+        return map(_cell, values)
+    return map(_NONE_CELL.get, values, map(str, values))
+
+
 def render_csv(report: EquivalenceReport) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(row_cells(r).values()) for r in report.rows)
-    return "\n".join(lines) + "\n"
+    """The report as CSV text: the header, then one line per row.
+
+    Each line is ``row_cells(row)`` joined by commas. The cells are rendered
+    a column at a time, with no Python call per cell.
+    """
+    columns = list(zip(*report.rows))[: len(ROW_FIELDS)]
+    lines = map(",".join, zip(*map(_column_cells, columns)))
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def render_summary(report: EquivalenceReport, cfg: SweepConfig, spot_checks: dict) -> str:

@@ -49,3 +49,45 @@ def test_node_budget():
     assert lexmin_maximum_independent_set(vertices, star, max_nodes=nodes)[0] == 6
     with pytest.raises(BudgetError, match="exceeded"):
         lexmin_maximum_independent_set(vertices, star, max_nodes=nodes - 1)
+
+
+def _setup_case(vertices, edges, style):
+    """Neighbour sets for edges in one of the listing styles the engine takes."""
+    neighbors = {v: set() for v in vertices}
+    for u, v in edges:
+        if style == "one-sided":
+            neighbors.setdefault(min(u, v), set()).add(max(u, v))
+        else:
+            neighbors[u].add(v)
+            neighbors[v].add(u)
+    if style == "outside":
+        # Neighbours just below, just above and far from the vertex labels.
+        low, high = min(vertices), max(vertices)
+        for v in vertices:
+            neighbors[v].update({low - 1, high + 1, low - 100, high + 10**6})
+    if style == "self":
+        for v in vertices:
+            neighbors[v].add(v)
+    return neighbors
+
+
+@pytest.mark.parametrize("style", ["symmetric", "one-sided", "outside", "self"])
+@pytest.mark.parametrize("labels", ["from 0", "from 5", "gaps"])
+def test_contiguous_and_general_setup_against_the_oracle(labels, style):
+    # Contiguous labels take the engine's offset set-up, gapped ones its
+    # rank table; both must agree with the brute-force lexmin optimum.
+    rng = random.Random(f"{labels}/{style}")
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        if labels == "gaps":
+            vertices = sorted(rng.sample(range(-10, 30), n))
+        else:
+            start = 0 if labels == "from 0" else 5
+            vertices = list(range(start, start + n))
+        rng.shuffle(vertices)
+        p = rng.choice((0.2, 0.5, 0.8))
+        edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < p]
+        neighbors = _setup_case(vertices, edges, style)
+        size, witness, _ = lexmin_maximum_independent_set(vertices, neighbors)
+        assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
+

@@ -22,12 +22,13 @@ from arcseq import (
     reduce_theorem2,
     solve,
 )
-from arcseq.generate import exhaustive_graphs
+from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.reductions import (
     REDUCTIONS,
     GraphOracles,
     IndependenceViolationWarning,
     Provenance,
+    edge_universe,
 )
 from arcseq.sweep import SweepConfig, run_sweep
 
@@ -36,6 +37,32 @@ from oracles import brute_max_independent_set
 TRIANGLE = Graph(3, {(1, 2), (1, 3), (2, 3)})
 PATH3 = Graph(3, {(1, 2), (2, 3)})
 SINGLE_EDGE = Graph(2, {(1, 2)})
+
+
+def small_and_seeded_masks():
+    """(n, mask) for every graph with n <= 5, then seeded masks up to n = 20."""
+    rng = random.Random(1101)
+    for n in range(6):
+        for mask in range(1 << n * (n - 1) // 2):
+            yield n, mask
+    for n in range(6, 21):
+        for _ in range(20):
+            yield n, rng.getrandbits(n * (n - 1) // 2)
+
+
+def reachable_from_1(g):
+    """Vertices reachable from vertex 1, by a plain breadth-first search."""
+    adj = {v: [] for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, queue = {1}, [1]
+    for v in queue:
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
 
 
 class TestGraph:
@@ -62,6 +89,40 @@ class TestGraph:
             for mask, g in exhaustive_graphs(n):
                 assert g.edge_mask() == mask
                 assert Graph.from_mask(n, mask) == g
+
+    def test_from_mask_is_the_validated_graph(self):
+        # from_mask skips the constructor's checks; it must build the same
+        # object the checked constructor builds from the same edges.
+        for n, mask in small_and_seeded_masks():
+            edges = [e for b, e in enumerate(edge_universe(n)) if mask >> b & 1]
+            g, checked = Graph.from_mask(n, mask), Graph(n, edges)
+            assert g == checked
+            assert hash(g) == hash(checked)
+            assert repr(g) == repr(checked)
+            assert g.edge_mask() == mask
+
+    @pytest.mark.parametrize("n, mask", [(3, -1), (3, 8), (0, 1), (1, 1), (-1, 0)])
+    def test_from_mask_out_of_range(self, n, mask):
+        with pytest.raises(ValidationError):
+            Graph.from_mask(n, mask)
+
+    def test_random_graph_is_the_validated_graph(self):
+        rng = random.Random(1102)
+        for n in range(21):
+            for p in (0.0, 0.3, 0.5, 1.0):
+                g = random_graph(rng, n, p)
+                checked = Graph(n, sorted(g.edges))
+                assert g == checked and repr(g) == repr(checked)
+        with pytest.raises(ValidationError):
+            random_graph(rng, -1, 0.5)
+
+    def test_bitmask_connectivity_matches_a_plain_search(self):
+        assert Graph(0).is_connected()
+        assert Graph(1).is_connected()
+        for n, mask in small_and_seeded_masks():
+            g = Graph.from_mask(n, mask)
+            if n >= 1:
+                assert g.is_connected() == (len(reachable_from_1(g)) == n)
 
 
 class TestMaxIndependentSet:
@@ -112,6 +173,13 @@ class TestReduceTheorem1:
     def test_k_validated(self):
         with pytest.raises(ValidationError):
             reduce_theorem1(TRIANGLE, 0)
+
+    def test_sequences_are_the_validated_ones(self):
+        for n in range(6):
+            for _, g in exhaustive_graphs(n):
+                inst = reduce_theorem1(g, 1)
+                assert inst.a1 == AnnotatedSequence("a" * n, g.edges)
+                assert inst.a2 == AnnotatedSequence("a" * n)
 
 
 class TestReduceTheorem2:
@@ -177,6 +245,15 @@ class TestReduceTheorem2:
     def test_k_validated(self):
         with pytest.raises(ValidationError):
             reduce_theorem2(TRIANGLE, 0)
+
+    def test_sequences_are_the_validated_ones(self):
+        # Both cases: k = n + 1 is case I, k = 1 case II.
+        for n in range(5):
+            for _, g in exhaustive_graphs(n):
+                for k in (1, n + 1):
+                    inst = reduce_theorem2(g, k)
+                    for a in (inst.a1, inst.a2):
+                        assert a == AnnotatedSequence(a.seq, sorted(a.arcs))
 
 
 class TestExtractIndependentSet:
@@ -294,6 +371,17 @@ class TestCheckEquivalence:
     def test_oracles_of_another_graph_rejected(self):
         with pytest.raises(ValidationError, match="another graph"):
             check_equivalence(TRIANGLE, 1, "T1", oracles=GraphOracles(PATH3))
+
+    def test_oracles_of_an_equal_graph_accepted(self):
+        # The guard tries identity first; an equal graph built apart passes.
+        twin = Graph(3, [(2, 3), (1, 3), (1, 2)])
+        assert twin is not TRIANGLE and twin == TRIANGLE
+        oracles = GraphOracles(TRIANGLE)
+        for k in (1, 2):
+            row = check_equivalence(twin, k, "T1", oracles=oracles)
+            assert row == check_equivalence(TRIANGLE, k, "T1")
+        with pytest.raises(ValidationError, match="another graph"):
+            check_equivalence(Graph(3, [(1, 2), (1, 3)]), 1, "T1", oracles=oracles)
 
     def test_theorem_name_validated(self):
         with pytest.raises(ValidationError):

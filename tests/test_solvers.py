@@ -677,3 +677,22 @@ class TestCrossSolverAgreement:
             bound = lcs_dp(a1.seq, a2.seq).length
             for mc in (UNC, FRAG1, MatchConstraint.diagonal(1)):
                 assert solve(a1, a2, mc).length <= bound
+
+    def test_unchecked_witnesses_pass_the_mapping_checks(self):
+        # lcs_dp and both identity routes build their witness without
+        # Mapping's checks; the checked constructor must agree with each one.
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            a1 = random_annotated_sequence(rng, n, "ab", StructureLevel.CROSSING)
+            a2 = random_annotated_sequence(rng, n, "ab", StructureLevel.CROSSING)
+            results = [lcs_dp(a1.seq, a2.seq), exact_search(a1, a2, FRAG1)]
+            try:
+                results.append(diagonal_conflict_solve(a1, a2))
+            except CapabilityError:
+                pass
+            for result in results:
+                w = result.witness
+                checked = Mapping(list(w.pairs)[::-1])
+                assert w == checked and repr(w) == repr(checked)
+                assert isinstance(w.pairs, tuple) and len(w) == result.length

@@ -8,7 +8,8 @@ import pytest
 from arcseq import ValidationError, check_equivalence, reductions
 from arcseq.generate import exhaustive_graphs
 from arcseq.solvers import SearchBudget
-from arcseq.sweep import CSV_HEADER, SweepConfig, render_csv, run_sweep
+from arcseq.reductions import EquivalenceReport
+from arcseq.sweep import CSV_HEADER, SweepConfig, render_csv, row_cells, run_sweep
 
 # sha256 of the CSV and the summary JSON of the exhaustive all-k sweeps,
 # captured before the sweep evaluated each graph once for all k.
@@ -193,6 +194,19 @@ def test_skipped_rows_rendered_distinctly(tmp_path):
     summary = json.loads((tmp_path / "skip.summary.json").read_text())
     assert summary["skipped"] == 8
     assert len(summary["skipped_rows"]) == 8
+
+
+def test_csv_lines_are_the_row_cells():
+    # render_csv renders a column at a time; each line must still be the
+    # row's own cells. Rows mix completed and skipped ones, and the last
+    # puts an int among the bools of a flag column and a bool among ints.
+    rows = run_sweep(SweepConfig("T1", (1, 3))).rows
+    rows += run_sweep(SweepConfig("T1", (3, 3), k_policy=1, mis_max_vertices=2)).rows
+    rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1))
+    text = render_csv(EquivalenceReport("T1", rows))
+    expected = [CSV_HEADER] + [",".join(row_cells(r).values()) for r in rows]
+    assert text == "\n".join(expected) + "\n"
+    assert text.splitlines()[-1].startswith("odd,true,")
 
 
 def test_node_budget_skips_hard_rows():
