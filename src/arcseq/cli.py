@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .core import MatchConstraint, classify_structure
 from .errors import ArcseqError, BudgetError
-from .formats import load_annotated_sequence, load_graph, save_annotated_sequence
+from .formats import _pair_lines, load_annotated_sequence, load_graph, save_annotated_sequence
 from .reductions import REDUCTIONS, check_equivalence
 from .solvers import SearchBudget, solve
 from .sweep import SweepConfig, row_cells, run_sweep
@@ -121,8 +121,7 @@ def _cmd_solve(args) -> int:
     else:
         mc = MatchConstraint.unconstrained()
     result = solve(a1, a2, mc, budget=_budget(args))
-    pairs = "".join(f"{i} {j}\n" for i, j in result.witness.pairs)
-    sys.stdout.write(f"{result.length}\n{pairs}")
+    sys.stdout.write(f"{result.length}\n{_pair_lines(result.witness.pairs)}")
     return EXIT_OK
 
 

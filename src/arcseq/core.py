@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import lt
 from typing import Iterable
 
 from .errors import ValidationError
@@ -76,6 +77,18 @@ class StructureLevel(IntEnum):
 
     def __str__(self) -> str:
         return self.name.lower()
+
+
+def _arcs_from_ends(lo: list[int], hi: list[int], n: int) -> frozenset[Arc] | None:
+    """The arcs zip(lo, hi) as one frozenset, or None unless each has
+    1 <= lo < hi <= n.
+
+    The frozenset is copied from a set filled in arc order, exactly as
+    :func:`_canonical_arcs`' loop fills it, so it iterates in the same order.
+    """
+    if lo and (min(lo) < 1 or max(hi) > n or not all(map(lt, lo, hi))):
+        return None
+    return frozenset(set(zip(lo, hi)))
 
 
 def _canonical_arcs(arcs: Iterable[Arc], n: int) -> frozenset[Arc]:

@@ -12,7 +12,8 @@ Three routes, all exact:
   conflict graph has maximum degree 2, its components are paths and cycles,
   and one linear walk gives each component's lexmin optimum: a closed form
   up to 3 vertices (and for any odd path), one scan for a longer even path.
-  It walks two flat neighbour slots per position, not a neighbour map.
+  It walks two flat neighbour slots per position, not a neighbour map, and
+  takes isolated vertices and paths of 2 or 3 vertices without a walk.
 * :func:`exact_search` -- pruned exhaustive search, the universal
   small-instance oracle. Its identity route alone reads the conflict graph
   as a neighbour map (:func:`build_conflict_graph`). Both identity routes
@@ -72,6 +73,14 @@ class SearchBudget:
             )
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValidationError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        # Hashed once: a budget is part of every sweep row's memo key, and the
+        # generated __hash__ builds and hashes the field tuple on each call.
+        object.__setattr__(
+            self, "_hash", hash((self.max_cells, self.max_identity_length, self.max_nodes))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -269,16 +278,19 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     independent set is computed component by component (the optimum equals
     candidates minus a minimum vertex cover). The whole solve takes linear
     time. One pass over the conflict edges fills two flat neighbour slots
-    per position and a degree byte, and declines the instance as soon as a
-    vertex gets a third neighbour, before any walk. Then one walk visits
-    each path from its smaller endpoint and then each cycle from its
-    smallest vertex, stepping to the neighbour it did not come from. The
-    graph lives in these flat lists, not in one set per candidate, so the
-    cyclic garbage collector has little to traverse. A free path's lexmin
-    witness (:func:`_lexmin_path_mis`) is a closed form up to 3 vertices (1:
-    take it; 2: the smaller label; 3: both ends) and for any odd path (its
-    even offsets); only a longer even path takes one scan along the walk. No
-    sort is needed.
+    per position and a state byte (the degree so far), and declines the
+    instance as soon as a vertex gets a third neighbour, before any walk.
+    Isolated vertices are then taken without a walk, in one pass over the
+    state bytes. Paths start only at their smaller end; one of 2 vertices
+    takes that end and one of 3 takes both, without building a walk. The
+    walk visits each longer path, then each cycle from its smallest vertex,
+    stepping to the neighbour it did not come from. The graph lives in
+    flat lists and bytes, not in one set per candidate, so the cyclic
+    garbage collector has little to traverse. A longer path's lexmin
+    witness (:func:`_lexmin_path_mis`) is a closed form for any odd path
+    (its even offsets); only an even path takes one scan along the walk.
+    The chosen vertices are marked in a byte per position and read off in
+    ascending order, so no sort is needed.
 
     Raises:
         InstanceError: unequal sequence lengths.
@@ -286,23 +298,35 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
             exact_search for those instances).
     """
     _require_equal_lengths(a1, a2)
-    chosen, stats = _degree2_mis(*_conflict_edges(a1, a2))
-    # The witness is built after _degree2_mis has returned and freed its slot
-    # lists: its pairs set off young collections, which would traverse them.
-    chosen.sort()
+    take, stats = _degree2_mis(*_conflict_edges(a1, a2))
+    # The witness is built after _degree2_mis has returned and freed the
+    # arc set: its pairs set off young collections, which would traverse it.
+    chosen = list(compress(count(), take))
     return SolveResult(length=len(chosen), witness=_identity_witness(chosen), stats=stats)
 
 
 def _identity_witness(positions: list[int] | tuple[int, ...]) -> Mapping:
     """The identity mapping on distinct ascending positions >= 1, unchecked."""
-    return _trusted(Mapping, pairs=tuple(zip(positions, positions)))
+    # Through a list: a tuple built from an iterator is resized as it grows,
+    # and each resize makes it young again, so every young collection that
+    # the new pairs set off would traverse it whole.
+    return _trusted(Mapping, pairs=tuple(list(zip(positions, positions))))
 
 
-def _degree2_mis(flags: bytes, arcs: frozenset[tuple[int, int]]) -> tuple[list[int], dict]:
+# A position's state byte: its degree so far (0, 1 or 2) while it is an
+# unvisited candidate, else one of these.
+_NOT_CANDIDATE, _VISITED = 3, 4
+# bytes.translate tables: candidate flags to initial states, and _DEGREE_d
+# maps a state to 1 if it is d, else 0.
+_INITIAL_STATE = bytes([_NOT_CANDIDATE, 0]) + bytes(254)
+_DEGREE_0, _DEGREE_1, _DEGREE_2 = (bytes(d) + b"\x01" + bytes(255 - d) for d in range(3))
+
+
+def _degree2_mis(flags: bytes, arcs: frozenset[tuple[int, int]]) -> tuple[bytearray, dict]:
     """The walk of :func:`diagonal_conflict_solve`, on flat neighbour slots.
 
-    Takes :func:`_conflict_edges`' output and returns the chosen vertices
-    (in no order) and the lane's stats.
+    Takes :func:`_conflict_edges`' output and returns the chosen vertices,
+    as bytes with a 1 at each, and the lane's stats.
 
     Raises:
         CapabilityError: a conflict vertex has a third neighbour.
@@ -311,72 +335,85 @@ def _degree2_mis(flags: bytes, arcs: frozenset[tuple[int, int]]) -> tuple[list[i
     size = len(flags)
     first = [0] * size
     second = [0] * size
-    degree = bytearray(size)
+    state = bytearray(flags.translate(_INITIAL_STATE))
+    outside = _NOT_CANDIDATE
     for p, q in arcs:
-        if flags[p] and flags[q]:
-            dp, dq = degree[p], degree[q]
-            if dp == 2 or dq == 2:
-                raise CapabilityError(
-                    f"conflict vertex {p if dp == 2 else q} has more than 2 "
-                    "neighbours; use exact_search()"
-                )
-            (second if dp else first)[p] = q
-            (second if dq else first)[q] = p
-            degree[p] = dp + 1
-            degree[q] = dq + 1
+        dp, dq = state[p], state[q]
+        # Both states are 0 or 1 for most edges: one test lets those through.
+        if dp | dq > 1:
+            if dp == outside or dq == outside:
+                continue
+            raise CapabilityError(
+                f"conflict vertex {p if dp == 2 else q} has more than 2 "
+                "neighbours; use exact_search()"
+            )
+        (second if dp else first)[p] = q
+        (second if dq else first)[q] = p
+        state[p] = dp + 1
+        state[q] = dq + 1
 
-    candidates = flags.count(1)
-    chosen: list[int] = []
-    components = visited = 0
-    seen = bytearray(size)
-    # Paths first, each walked from its smaller endpoint (candidates ascend);
-    # each step goes to the neighbour that is not the previous vertex.
-    for v in compress(count(), flags):
-        if degree[v] == 2 or seen[v]:
-            continue
-        components += 1
-        if not degree[v]:
-            chosen.append(v)
-            visited += 1
+    # take[v] = 1 marks a chosen vertex; isolated candidates are taken whole.
+    take = state.translate(_DEGREE_0)
+    ends = state.count(1)
+    stats = {
+        "solver": "diagonal_conflict",
+        "candidates": flags.count(1),
+        "conflict_edges": ends // 2 + state.count(2),
+        "components": state.count(0) + ends // 2,
+    }
+    # Each path is walked from its smaller end, the first of its two ends in
+    # ascending order; each step goes to the neighbour that is not the
+    # previous vertex. A path of two vertices takes its smaller end, and one
+    # of three takes both ends, without building the walk's order.
+    visited = _VISITED
+    for v in compress(count(), state.translate(_DEGREE_1)):
+        if state[v] == visited:
             continue
         prev, cur = v, first[v]
+        if state[cur] == 1:
+            state[cur] = visited
+            take[v] = 1
+            continue
+        end = first[cur]
+        if end == v:
+            end = second[cur]
+        if state[end] == 1:
+            state[cur] = state[end] = visited
+            take[v] = take[end] = 1
+            continue
         order = [v, cur]
-        while degree[cur] == 2:
-            seen[cur] = 1
+        while state[cur] == 2:
+            state[cur] = visited
             nxt = first[cur]
             if nxt == prev:
                 nxt = second[cur]
             prev, cur = cur, nxt
             order.append(cur)
-        seen[cur] = 1
-        visited += len(order)
-        chosen += _lexmin_path_mis(order)
-    # The vertices still unvisited lie on cycles, if any are left. A cycle
+        state[cur] = visited
+        for x in _lexmin_path_mis(order):
+            take[x] = 1
+    # Degree-2 vertices that no path passed through lie on cycles. A cycle
     # has a maximum independent set through each vertex; taking its
     # smallest, v, leaves the path strictly between v's two neighbours.
-    if visited < candidates:
-        for v in compress(count(), flags):
-            if degree[v] != 2 or seen[v]:
+    if 2 in state:
+        for v in compress(count(), state.translate(_DEGREE_2)):
+            if state[v] == visited:
                 continue
-            components += 1
-            chosen.append(v)
+            stats["components"] += 1
+            take[v] = 1
             prev, cur, last = v, first[v], second[v]
             order = [v, cur]
             while cur != last:
-                seen[cur] = 1
+                state[cur] = visited
                 nxt = first[cur]
                 if nxt == prev:
                     nxt = second[cur]
                 prev, cur = cur, nxt
                 order.append(cur)
-            seen[cur] = 1
-            chosen += _lexmin_path_mis(order[2:-1])
-    return chosen, {
-        "solver": "diagonal_conflict",
-        "candidates": candidates,
-        "conflict_edges": sum(degree) // 2,
-        "components": components,
-    }
+            state[cur] = visited
+            for x in _lexmin_path_mis(order[2:-1]):
+                take[x] = 1
+    return take, stats
 
 
 def _identity_exact(

@@ -7,7 +7,7 @@ agree by computing the same mathematical quantity. Keep instances small.
 
 import itertools
 
-from arcseq import AnnotatedSequence, MatchConstraint, StructureLevel
+from arcseq import AnnotatedSequence, FormatError, MatchConstraint, StructureLevel, ValidationError
 
 
 def is_subsequence(t: str, s: str) -> bool:
@@ -186,3 +186,30 @@ def oracle_level(arcs) -> StructureLevel:
     if r1:
         return StructureLevel.CROSSING
     return StructureLevel.UNLIMITED
+
+
+def line_loop_parse_annotated_sequence(text: str) -> AnnotatedSequence:
+    """The sequence-file parser as it was before the bulk path: one line at a
+    time, for every text. Kept verbatim as the reference the parser must
+    match, result and FormatError alike."""
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("empty file; expected a sequence on line 1", line=1)
+    seq = lines[0]
+    arcs = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"expected 'i j', got {raw!r}", line=lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"non-integer arc endpoint in {raw!r}", line=lineno)
+        arcs.append((i, j))
+    try:
+        return AnnotatedSequence(seq, arcs)
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from exc

@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, file side effects, exit codes."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -123,6 +125,47 @@ class TestSolve:
         assert "one of the arguments" in capsys.readouterr().err
         assert main(["solve", str(f1), str(f2), "--fragment", "1"]) == 0
         assert capsys.readouterr().out == first
+
+
+def _canonical_file(path, seq, arcs):
+    """Write seq and its arcs in the writer's form, without calling the writer."""
+    path.write_text(seq + "\n" + "".join(f"{i} {j}\n" for i, j in sorted(arcs)))
+    return str(path)
+
+
+def _crossing_arcs(rng, n):
+    """Arcs pairing up a random 60% of positions 1..n: crossing, no shared ends."""
+    ends = rng.sample(range(1, n + 1), n * 3 // 5)
+    return [(min(ends[k], ends[k + 1]), max(ends[k], ends[k + 1])) for k in range(0, len(ends), 2)]
+
+
+class TestSolveOutputIsPinned:
+    # sha256 of the whole stdout of `arcseq solve`, captured before the parse
+    # fast path, the walk that skips trivial components and the one-join
+    # witness text; they must not move a byte.
+    def _digest(self, capsys, argv):
+        assert main(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_crossing_pair_under_fragment_one(self, tmp_path, capsys):
+        rng = random.Random(20_000)
+        s1 = "".join(rng.choice("acgu") for _ in range(20_000))
+        s2 = "".join(ch if rng.random() < 0.9 else rng.choice("acgu") for ch in s1)
+        f1 = _canonical_file(tmp_path / "a1.txt", s1, _crossing_arcs(rng, 20_000))
+        f2 = _canonical_file(tmp_path / "a2.txt", s2, _crossing_arcs(rng, 20_000))
+        assert self._digest(capsys, ["solve", f1, f2, "--fragment", "1"]) == (
+            "0a2f8271e74e1dde9c8a8a73b5751c2b30060832763ec7e39bc3906bcde61d9d"
+        )
+
+    def test_unconstrained_lcs_pair(self, tmp_path, capsys):
+        rng = random.Random(300)
+        f1, f2 = (
+            _canonical_file(tmp_path / f"s{k}.txt", "".join(rng.choice("acgu") for _ in range(300)), ())
+            for k in (1, 2)
+        )
+        assert self._digest(capsys, ["solve", f1, f2, "--unconstrained"]) == (
+            "f83f942da215f6982cef58a26edcc861092c51a8bda80d8a632776dde92b839c"
+        )
 
 
 class TestReduce:

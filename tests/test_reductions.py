@@ -11,6 +11,7 @@ from arcseq import (
     Mapping,
     MatchConstraint,
     ReductionInstance,
+    SearchBudget,
     StructureLevel,
     ValidationError,
     check_equivalence,
@@ -22,6 +23,7 @@ from arcseq import (
     reduce_theorem2,
     solve,
 )
+from arcseq import reductions
 from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.reductions import (
     REDUCTIONS,
@@ -382,6 +384,24 @@ class TestCheckEquivalence:
             assert row == check_equivalence(TRIANGLE, k, "T1")
         with pytest.raises(ValidationError, match="another graph"):
             check_equivalence(Graph(3, [(1, 2), (1, 3)]), 1, "T1", oracles=oracles)
+
+    def test_equal_budgets_share_one_memo_entry(self, monkeypatch):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(kwargs["budget"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(reductions, "solve", counting_solve)
+        oracles = GraphOracles(TRIANGLE)
+        # k = 1 and 2 are one T1 case, so only the budget tells entries apart.
+        for k, budget in ((1, SearchBudget()), (2, SearchBudget()), (1, SearchBudget(400, 64))):
+            assert oracles.lapcs_length("T1", k, budget) == 1
+        assert solves == [SearchBudget()]
+        for budget in (SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None):
+            oracles.lapcs_length("T1", 1, budget)
+            oracles.lapcs_length("T1", 2, budget)
+        assert solves == [SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None]
 
     def test_theorem_name_validated(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Solver correctness against brute-force oracles and frozen examples."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -26,6 +27,7 @@ from arcseq import (
     lcs_dp,
     solve,
 )
+from arcseq.formats import parse_annotated_sequence
 from arcseq.generate import random_annotated_sequence, random_arcs
 
 from oracles import (
@@ -345,6 +347,30 @@ class TestDiagonalConflictSolve:
                 crowded += any(ends.count(p) > 2 for p in set(ends))
         assert min(refused, crowded) >= 50
 
+    def test_declined_instances_name_the_pinned_vertex(self):
+        # The vertex in the CapabilityError message, captured with the
+        # line-by-line parser and the walk over every candidate, on sequences
+        # built three ways: by the constructor from the drawn arc list, and
+        # parsed from the canonical text (sorted arcs, the bulk parse) and
+        # from the drawn text (some arcs reversed, the line loop).
+        got = []
+        for seq, drawn in declined_instances():
+            named = []
+            for build in (
+                lambda arcs: AnnotatedSequence(seq, arcs),
+                lambda arcs: parse_annotated_sequence(
+                    seq + "\n" + "".join(f"{min(a)} {max(a)}\n" for a in sorted(arcs, key=sorted))
+                ),
+                lambda arcs: parse_annotated_sequence(
+                    seq + "\n" + "".join(f"{i} {j}\n" for i, j in arcs)
+                ),
+            ):
+                with pytest.raises(CapabilityError) as info:
+                    diagonal_conflict_solve(*map(build, drawn))
+                named.append(int(str(info.value).split()[2]))
+            got.append(tuple(named))
+        assert got == [(v, v, v) for v in DECLINED_VERTEX_PINS]
+
     def test_degree_three_refused(self):
         a1 = AnnotatedSequence("aaaa", {(1, 2), (1, 3), (1, 4)})
         a2 = AnnotatedSequence("aaaa")
@@ -433,6 +459,20 @@ class TestExactSearch:
             with pytest.raises(ValidationError):
                 SearchBudget(**bad)
         assert SearchBudget(max_cells=0, max_identity_length=0, max_nodes=1).max_nodes == 1
+
+    def test_budget_is_a_frozen_value(self):
+        budget = SearchBudget(max_nodes=9)
+        twin, other = SearchBudget(400, 64, 9), SearchBudget(max_nodes=10)
+        assert budget == twin and hash(budget) == hash(twin)
+        assert budget != other and {budget: 1}.get(other) is None
+        assert repr(budget) == "SearchBudget(max_cells=400, max_identity_length=64, max_nodes=9)"
+        assert dataclasses.replace(budget, max_nodes=10) == other
+        assert hash(dataclasses.replace(budget, max_nodes=10)) == hash(other)
+        assert [f.name for f in dataclasses.fields(budget)] == [
+            "max_cells", "max_identity_length", "max_nodes"
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            budget.max_nodes = 10
 
     def test_windowed_constraints(self):
         a1 = AnnotatedSequence("abcd")
@@ -558,6 +598,18 @@ IDENTITY_STAT_PINS = [
     (13, 8, 5, 13, 29),
     (11, 2, 9, 11, 19),
 ]
+
+
+def declined_instances():
+    """Twenty seeded all-'a' identity instances of length 30 with 15 freely
+    drawn arcs a side, each with a conflict vertex of degree > 2; in three
+    of them both ends of the edge that declines already have two neighbours."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        yield "a" * 30, [[tuple(rng.sample(range(1, 31), 2)) for _ in range(15)] for _ in range(2)]
+
+
+DECLINED_VERTEX_PINS = [29, 8, 6, 30, 3, 28, 26, 4, 7, 23, 12, 21, 12, 26, 9, 30, 21, 26, 11, 29]
 
 
 def identity_stat_instances():
