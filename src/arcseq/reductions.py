@@ -15,7 +15,10 @@ same-position matching:
   (b a^n b)^n, one block of width n+2 per vertex. Each block is framed by a
   bracket arc (present on both sides); each graph edge (i, j) becomes an
   arc, present on the first side only, between an 'a' inside block i and an
-  'a' inside block j. The threshold scales to k*(n+2).
+  'a' inside block j. The threshold scales to k*(n+2). The sequence, the
+  bracket arcs and the second side depend on n alone, so they are built
+  and checked once per n; each graph's edge arcs, and the invariants that
+  involve them, are checked per graph.
 
 The construction's backward direction is treated as an empirical question:
 :func:`check_equivalence` measures both implications per (graph, k) pair
@@ -41,6 +44,7 @@ from .core import (
     Mapping,
     MatchConstraint,
     StructureLevel,
+    _no_shared_endpoints,
     _trusted,
     is_arc_preserving,
     validate_mapping,
@@ -232,8 +236,10 @@ def _case_and_threshold(theorem: str, n: int, k: int) -> tuple[str | None, int]:
     every k.
 
     Raises:
-        ValidationError: k < 1.
+        ValidationError: k is not an int (a bool is not one here), or k < 1.
     """
+    if type(k) is not int:
+        raise ValidationError(f"threshold k must be an integer, got {k!r}")
     if k < 1:
         raise ValidationError("threshold k must be >= 1")
     if theorem == "T1":
@@ -261,6 +267,25 @@ def reduce_theorem1(g: Graph, k: int) -> ReductionInstance:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _blocked_frame(n: int) -> tuple[str, frozenset[Arc], AnnotatedSequence]:
+    """What every case-II blocked instance with n vertices shares, built and
+    checked once per n: the sequence (b a^n b)^n, the bracket arcs framing
+    its blocks, and the second side (the sequence with the brackets only).
+
+    The cache is small and bounded because a frame holds n(n+2) letters, and
+    sweeps visit the vertex counts one after another.
+    """
+    width = n + 2
+    seq = ("b" + "a" * n + "b") * n
+    brackets = frozenset(((i - 1) * width + 1, i * width) for i in range(1, n + 1))
+    a2 = _trusted(AnnotatedSequence, seq=seq, arcs=brackets)
+    _check(len(seq) == n * width, "sequence length n(n+2)")
+    _check(len(a2.arcs) == n, "|P2| = n")
+    _check(a2.structure().is_within(StructureLevel.CHAIN), "P2 within chain")
+    return seq, brackets, a2
+
+
 def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     """Two-letter blocked reduction.
 
@@ -268,9 +293,9 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     single letter "a" with no arcs and the threshold stays k, which is
     unsatisfiable for k > 1 by construction. Otherwise (case II) each vertex
     i becomes a block b a^n b of width n+2; block i is framed by the bracket
-    arc ((i-1)(n+2)+1, i(n+2)) on both sides, and each edge (i, j) adds the
-    arc ((i-1)(n+2)+j+1, (j-1)(n+2)+i+1), normalized to increasing order, on
-    the first side only. The threshold is k(n+2).
+    arc ((i-1)(n+2)+1, i(n+2)) on both sides, and each edge (i, j), i < j,
+    adds the arc ((i-1)(n+2)+j+1, (j-1)(n+2)+i+1), already in increasing
+    order, on the first side only. The threshold is k(n+2).
 
     In case II every position is an identity candidate and only the edge
     arcs conflict, one edge arc per conflict edge with no shared endpoints,
@@ -278,8 +303,14 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     holds, and the backward direction fails exactly when alpha(G) < k and
     m <= (n - k)(n + 2); the triangle with k = 2 is the smallest case.
 
-    The arcs are built canonical and in range, so the sequences skip the
-    constructor's checks; the construction invariants below are checked.
+    The sequence, the bracket arcs and the second side depend on n alone:
+    they are built once per n, and their invariants (length n(n+2), |P2| = n,
+    P2 within chain) are checked there. Per graph only the m edge arcs are
+    computed, and these invariants are checked at O(n + m) cost:
+    |P1| = |E| + n; each edge arc lies within 1 <= alpha < beta <= n(n+2)
+    and links two 'a's; and no two arcs of P1 share an endpoint, which for
+    canonical arcs is exactly P1 within crossing. The arcs are built
+    canonical, so the sequences skip the constructor's checks.
     """
     case, threshold = _case_and_threshold("T2", g.n, k)
     if case == "I":
@@ -293,24 +324,17 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
         )
 
     n = g.n
+    seq, brackets, a2 = _blocked_frame(n)
     width = n + 2
-    seq = ("b" + "a" * n + "b") * n
-    brackets = {((i - 1) * width + 1, i * width) for i in range(1, n + 1)}
-    edge_arcs = set()
-    for i, j in g.edges:
-        alpha = (i - 1) * width + j + 1
-        beta = (j - 1) * width + i + 1
-        edge_arcs.add((min(alpha, beta), max(alpha, beta)))
-    a1 = _trusted(AnnotatedSequence, seq=seq, arcs=frozenset(brackets | edge_arcs))
-    a2 = _trusted(AnnotatedSequence, seq=seq, arcs=frozenset(brackets))
+    edge_arcs = [((i - 1) * width + j + 1, (j - 1) * width + i + 1) for i, j in g.edges]
+    a1 = _trusted(AnnotatedSequence, seq=seq, arcs=brackets.union(edge_arcs))
 
-    _check(len(seq) == n * width, "sequence length n(n+2)")
     _check(len(a1.arcs) == g.m + n, "|P1| = |E| + n")
-    _check(len(a2.arcs) == n, "|P2| = n")
-    _check(a1.structure().is_within(StructureLevel.CROSSING), "P1 within crossing")
-    _check(a2.structure().is_within(StructureLevel.CHAIN), "P2 within chain")
+    length = len(seq)
     for alpha, beta in edge_arcs:
+        _check(1 <= alpha < beta <= length, "edge arcs within 1 <= alpha < beta <= n(n+2)")
         _check(seq[alpha - 1] == "a" and seq[beta - 1] == "a", "edge arcs land on a's")
+    _check(_no_shared_endpoints(a1.arcs), "P1 within crossing")
 
     return ReductionInstance(
         a1=a1,
@@ -421,17 +445,17 @@ class EquivalenceReport:
 
     def summary(self) -> dict:
         done = [r for r in self.rows if not r.skipped]
+        skipped = self.skipped_rows
         return {
             "theorem": self.theorem,
             "rows": len(self.rows),
             "completed": len(done),
-            "skipped": len(self.skipped_rows),
+            "skipped": len(skipped),
             "forward_failures": sum(1 for r in done if not r.forward_ok),
             "backward_failures": sum(1 for r in done if not r.backward_ok),
             "counterexamples": [dict(zip(ROW_FIELDS, r)) for r in self.counterexamples],
             "skipped_rows": [
-                {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason}
-                for r in self.skipped_rows
+                {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason} for r in skipped
             ],
         }
 

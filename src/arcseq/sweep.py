@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -53,8 +55,8 @@ class SweepConfig:
     """What to sweep and within which budgets.
 
     k_policy is either the string "all" (k = 1..n per graph) or a fixed
-    integer. graph_source is "exhaustive" or "random"; random mode draws
-    `random_count` graphs per vertex count and requires a seed.
+    int (not a bool). graph_source is "exhaustive" or "random"; random mode
+    draws `random_count` graphs per vertex count and requires a seed.
     """
 
     theorem: str
@@ -75,7 +77,7 @@ class SweepConfig:
         lo, hi = self.n_range
         if lo < 1 or hi < lo:
             raise ValidationError(f"bad vertex-count range {self.n_range}")
-        if isinstance(self.k_policy, int):
+        if type(self.k_policy) is int:
             if self.k_policy < 1:
                 raise ValidationError("fixed k must be >= 1")
         elif self.k_policy != "all":
@@ -246,8 +248,46 @@ def render_csv(report: EquivalenceReport) -> str:
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
+# One counterexample object as json.dumps(indent=2, sort_keys=True) writes it
+# in the summary: keys in sorted order, the object two levels deep.
+_SORTED_FIELDS = sorted(ROW_FIELDS)
+_values_in_key_order = itemgetter(*_SORTED_FIELDS)
+_COUNTEREXAMPLE = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in _SORTED_FIELDS)
+# The line json writes for no counterexamples. The newline and two-space
+# indent match only a top-level key, and no JSON string holds a newline.
+_NO_COUNTEREXAMPLES = '\n  "counterexamples": []'
+
+
+def _json_scalar(value: bool | int | str | None) -> str:
+    """value as json.dumps writes it (ensure_ascii on)."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return int.__repr__(value)
+
+
 def render_summary(report: EquivalenceReport, cfg: SweepConfig, spot_checks: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for the report's
+    summary with the configuration echo and the spot-check counts.
+
+    The counterexample rows, most of the text, are each written through one
+    fixed template instead of json's pure-Python indenting encoder, and
+    spliced into the text json writes for the rest; the bytes are the same.
+    """
     payload = report.summary()
     payload["config"] = cfg.config_echo()
     payload["spot_checks"] = spot_checks
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rows = payload["counterexamples"]
+    payload["counterexamples"] = []
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if not rows:
+        return text
+    body = ",\n".join(
+        _COUNTEREXAMPLE % tuple(map(_json_scalar, _values_in_key_order(row))) for row in rows
+    )
+    return text.replace(_NO_COUNTEREXAMPLES, f'\n  "counterexamples": [\n{body}\n  ]', 1)

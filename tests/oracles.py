@@ -3,11 +3,22 @@
 Everything here enumerates exhaustively with no pruning or shared code with
 the solvers under test, so the implementations and these oracles can only
 agree by computing the same mathematical quantity. Keep instances small.
+The kept earlier versions of rewritten functions (named after what they did
+differently) are references of another kind: the new code must match them.
 """
 
 import itertools
 
 from arcseq import AnnotatedSequence, FormatError, MatchConstraint, StructureLevel, ValidationError
+from arcseq.core import _trusted
+from arcseq.reductions import (
+    _IDENTITY,
+    Graph,
+    Provenance,
+    ReductionInstance,
+    _case_and_threshold,
+    _check,
+)
 
 
 def is_subsequence(t: str, s: str) -> bool:
@@ -213,3 +224,65 @@ def line_loop_parse_annotated_sequence(text: str) -> AnnotatedSequence:
         return AnnotatedSequence(seq, arcs)
     except ValidationError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def classified_reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
+    """Two-letter blocked reduction, as it was before its frame was built
+    once per n: everything per graph, both structure invariants through
+    classify_structure. Kept verbatim as the reference construction.
+
+    For k > n the instance degenerates (case I): both sequences are the
+    single letter "a" with no arcs and the threshold stays k, which is
+    unsatisfiable for k > 1 by construction. Otherwise (case II) each vertex
+    i becomes a block b a^n b of width n+2; block i is framed by the bracket
+    arc ((i-1)(n+2)+1, i(n+2)) on both sides, and each edge (i, j) adds the
+    arc ((i-1)(n+2)+j+1, (j-1)(n+2)+i+1), normalized to increasing order, on
+    the first side only. The threshold is k(n+2).
+
+    In case II every position is an identity candidate and only the edge
+    arcs conflict, one edge arc per conflict edge with no shared endpoints,
+    so the optimum is n(n+2) - m. The forward direction therefore always
+    holds, and the backward direction fails exactly when alpha(G) < k and
+    m <= (n - k)(n + 2); the triangle with k = 2 is the smallest case.
+
+    The arcs are built canonical and in range, so the sequences skip the
+    constructor's checks; the construction invariants below are checked.
+    """
+    case, threshold = _case_and_threshold("T2", g.n, k)
+    if case == "I":
+        a = _trusted(AnnotatedSequence, seq="a", arcs=frozenset())
+        return ReductionInstance(
+            a1=a,
+            a2=a,
+            mc=_IDENTITY,
+            threshold=threshold,
+            provenance=Provenance("T2", case, g, k),
+        )
+
+    n = g.n
+    width = n + 2
+    seq = ("b" + "a" * n + "b") * n
+    brackets = {((i - 1) * width + 1, i * width) for i in range(1, n + 1)}
+    edge_arcs = set()
+    for i, j in g.edges:
+        alpha = (i - 1) * width + j + 1
+        beta = (j - 1) * width + i + 1
+        edge_arcs.add((min(alpha, beta), max(alpha, beta)))
+    a1 = _trusted(AnnotatedSequence, seq=seq, arcs=frozenset(brackets | edge_arcs))
+    a2 = _trusted(AnnotatedSequence, seq=seq, arcs=frozenset(brackets))
+
+    _check(len(seq) == n * width, "sequence length n(n+2)")
+    _check(len(a1.arcs) == g.m + n, "|P1| = |E| + n")
+    _check(len(a2.arcs) == n, "|P2| = n")
+    _check(a1.structure().is_within(StructureLevel.CROSSING), "P1 within crossing")
+    _check(a2.structure().is_within(StructureLevel.CHAIN), "P2 within chain")
+    for alpha, beta in edge_arcs:
+        _check(seq[alpha - 1] == "a" and seq[beta - 1] == "a", "edge arcs land on a's")
+
+    return ReductionInstance(
+        a1=a1,
+        a2=a2,
+        mc=_IDENTITY,
+        threshold=threshold,
+        provenance=Provenance("T2", case, g, k),
+    )

@@ -1,6 +1,8 @@
 """Reduction constructions, witness extraction, and equivalence checking."""
 
 import random
+import re
+from itertools import combinations, compress
 
 import pytest
 
@@ -23,7 +25,8 @@ from arcseq import (
     reduce_theorem2,
     solve,
 )
-from arcseq import reductions
+from arcseq import core, reductions
+from arcseq.core import _no_shared_endpoints, _trusted, classify_structure
 from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.reductions import (
     REDUCTIONS,
@@ -34,7 +37,11 @@ from arcseq.reductions import (
 )
 from arcseq.sweep import SweepConfig, run_sweep
 
-from oracles import brute_max_independent_set
+from oracles import (
+    brute_max_independent_set,
+    classified_reduce_theorem2,
+    restriction_no_shared_endpoints,
+)
 
 TRIANGLE = Graph(3, {(1, 2), (1, 3), (2, 3)})
 PATH3 = Graph(3, {(1, 2), (2, 3)})
@@ -256,6 +263,95 @@ class TestReduceTheorem2:
                     inst = reduce_theorem2(g, k)
                     for a in (inst.a1, inst.a2):
                         assert a == AnnotatedSequence(a.seq, sorted(a.arcs))
+
+
+class TestBlockedFrame:
+    """The case-II frame is built once per n; each graph's invariants are
+    still checked per graph."""
+
+    @staticmethod
+    def same_instance(g, k):
+        inst = reduce_theorem2(g, k)
+        ref = classified_reduce_theorem2(g, k)
+        assert (inst.a1, inst.a2, inst.mc) == (ref.a1, ref.a2, ref.mc)
+        assert (inst.threshold, inst.provenance) == (ref.threshold, ref.provenance)
+
+    def test_equals_the_reference_construction_up_to_n5(self):
+        for n in range(6):
+            for _, g in exhaustive_graphs(n):
+                for k in range(1, n + 2):
+                    self.same_instance(g, k)
+
+    def test_equals_the_reference_construction_on_seeded_graphs(self):
+        rng = random.Random(1313)
+        for n in range(6, 13):
+            for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+                g = random_graph(rng, n, p)
+                for k in range(1, n + 2):
+                    self.same_instance(g, k)
+
+    def test_graphs_with_one_n_share_the_frame(self, monkeypatch):
+        calls = []
+
+        def counted(arcs, n):
+            calls.append(n)
+            return classify_structure(arcs, n)
+
+        monkeypatch.setattr(core, "classify_structure", counted)
+        reductions._blocked_frame.cache_clear()
+        try:
+            instances = [reduce_theorem2(g, 1) for n in (3, 4) for _, g in exhaustive_graphs(n)]
+        finally:
+            reductions._blocked_frame.cache_clear()
+        # One P2-within-chain check per n, on the frame's second side.
+        assert calls == [15, 24]
+        assert len({id(inst.a2) for inst in instances}) == 2
+
+    @pytest.mark.parametrize(
+        "corruption,what",
+        [
+            ({"brackets": frozenset({(1, 5), (6, 10)})}, "|P1| = |E| + n"),
+            ({"brackets": frozenset({(1, 3), (6, 10), (11, 15)})}, "P1 within crossing"),
+            ({"seq": "babab" + "baaab" * 2}, "edge arcs land on a's"),
+            ({"seq": "baaab" * 2}, "edge arcs within 1 <= alpha < beta <= n(n+2)"),
+        ],
+    )
+    def test_per_graph_checks_fire_on_a_corrupted_frame(self, monkeypatch, corruption, what):
+        # The triangle's edge arcs are (3, 7), (4, 12) and (9, 13).
+        seq, brackets, a2 = reductions._blocked_frame(3)
+        frame = (corruption.get("seq", seq), corruption.get("brackets", brackets), a2)
+        monkeypatch.setattr(reductions, "_blocked_frame", lambda n: frame)
+        with pytest.raises(RuntimeError, match=re.escape(f"invariant failed: {what}")):
+            reduce_theorem2(TRIANGLE, 1)
+
+    @pytest.mark.parametrize("edge", [(2, 1), (0, 2), (1, 4)])
+    def test_per_graph_range_check_fires_on_a_corrupted_graph(self, edge):
+        # Edges that Graph's constructor would have normalized or rejected.
+        g = _trusted(Graph, n=3, edges=frozenset({edge}))
+        with pytest.raises(RuntimeError, match=re.escape("1 <= alpha < beta <= n(n+2)")):
+            reduce_theorem2(g, 1)
+
+    def test_no_shared_endpoints_is_crossing_on_canonical_arcs(self):
+        # classify_structure shares the helper, so the quantifier form of the
+        # restriction is the independent side.
+        arcs = list(combinations(range(1, 7), 2))
+        for mask in range(1 << len(arcs)):
+            subset = frozenset(compress(arcs, (mask >> b & 1 for b in range(len(arcs)))))
+            crossing = classify_structure(subset, 6).is_within(StructureLevel.CROSSING)
+            assert _no_shared_endpoints(subset) == crossing, sorted(subset)
+            assert crossing == restriction_no_shared_endpoints(subset), sorted(subset)
+
+
+@pytest.mark.parametrize("k", [True, 1.5, "2"])
+def test_non_integer_k_is_rejected(k):
+    for reduce in (reduce_theorem1, reduce_theorem2):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            reduce(TRIANGLE, k)
+    for theorem in REDUCTIONS:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            check_equivalence(TRIANGLE, k, theorem)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            GraphOracles(TRIANGLE).sequences(theorem, k)
 
 
 class TestExtractIndependentSet:

@@ -8,8 +8,15 @@ import pytest
 from arcseq import ValidationError, check_equivalence, reductions
 from arcseq.generate import exhaustive_graphs
 from arcseq.solvers import SearchBudget
-from arcseq.reductions import EquivalenceReport
-from arcseq.sweep import CSV_HEADER, SweepConfig, render_csv, row_cells, run_sweep
+from arcseq.reductions import EquivalenceReport, EquivalenceRow
+from arcseq.sweep import (
+    CSV_HEADER,
+    SweepConfig,
+    render_csv,
+    render_summary,
+    row_cells,
+    run_sweep,
+)
 
 # sha256 of the CSV and the summary JSON of the exhaustive all-k sweeps,
 # captured before the sweep evaluated each graph once for all k.
@@ -241,6 +248,9 @@ def test_invalid_configs_rejected():
         SweepConfig("T1", (1, 2), k_policy=0)
     with pytest.raises(ValidationError):
         SweepConfig("T1", (1, 2), k_policy="some")
+    for k in (True, 1.5, "2"):
+        with pytest.raises(ValidationError, match="k_policy"):
+            SweepConfig("T1", (2, 2), k_policy=k)
     with pytest.raises(ValidationError):
         SweepConfig("T1", (1, 2), graph_source="mystery")
     for p in (1.5, -0.1, float("nan")):
@@ -248,3 +258,20 @@ def test_invalid_configs_rejected():
             SweepConfig(
                 "T1", (1, 2), graph_source="random", random_count=0, edge_probability=p, seed=1
             )
+
+
+def test_summary_renders_as_json_dumps():
+    # The counterexample rows go through a fixed template; the text must be
+    # what json.dumps writes, escapes included, with and without them.
+    odd = 'g"3\\-\u00e9-\u2028'
+    counterexample = EquivalenceRow(odd, 3, 3, True, 2, False, 12, 10, True, True, False)
+    skipped = EquivalenceRow(odd, 6, 0, False, 1, None, None, 1, None, None, None, "budget")
+    fine = EquivalenceRow("g1-0", 1, 0, True, 1, True, 3, 3, True, True, True)
+    cfg = SweepConfig("T2", (1, 3))
+    spot = {"sampled": 1, "verified": 1, "budget_skipped": 0}
+    for rows in ([counterexample, skipped, fine, counterexample], [fine, skipped], []):
+        report = EquivalenceReport("T2", rows)
+        payload = {**report.summary(), "config": cfg.config_echo(), "spot_checks": spot}
+        text = render_summary(report, cfg, spot)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert len(json.loads(text)["counterexamples"]) == 2 * (len(rows) == 4)
