@@ -12,9 +12,10 @@ from arcseq import SweepConfig, run_sweep
 out = Path(__file__).with_name("t2_sweep.csv")
 report = run_sweep(SweepConfig("T2", (1, 4), output_csv=out))
 
-print(f"rows: {len(report.rows)}   skipped: {len(report.skipped_rows)}")
-print(f"forward failures:  {sum(1 for r in report.rows if not r.forward_ok)}")
-print(f"backward failures: {sum(1 for r in report.rows if not r.backward_ok)}")
+counts = report.counts()
+print(f"rows: {counts['rows']}   skipped: {counts['skipped']}")
+print(f"forward failures:  {counts['forward_failures']}")
+print(f"backward failures: {counts['backward_failures']}")
 
 print()
 print("first few backward counterexamples (dense graph, small independence number,")

@@ -99,12 +99,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _budget(args) -> SearchBudget:
-    if getattr(args, "budget_nodes", None) is not None:
-        return SearchBudget(max_nodes=args.budget_nodes)
-    return SearchBudget()
-
-
 def _cmd_classify(args) -> int:
     a = load_annotated_sequence(args.file)
     print(classify_structure(a.arcs, len(a)))
@@ -120,7 +114,7 @@ def _cmd_solve(args) -> int:
         mc = MatchConstraint.diagonal(args.diagonal)
     else:
         mc = MatchConstraint.unconstrained()
-    result = solve(a1, a2, mc, budget=_budget(args))
+    result = solve(a1, a2, mc, budget=SearchBudget(max_nodes=args.budget_nodes))
     sys.stdout.write(f"{result.length}\n{_pair_lines(result.witness.pairs)}")
     return EXIT_OK
 
@@ -143,7 +137,7 @@ def _cmd_verify(args) -> int:
         args.k,
         f"T{args.theorem}",
         graph_id=args.graph.stem,
-        search_budget=_budget(args),
+        search_budget=SearchBudget(max_nodes=args.budget_nodes),
     )
     print(" ".join(f"{name}={cell}" for name, cell in row_cells(row).items()))
     return EXIT_BUDGET if row.skipped else EXIT_OK
@@ -158,20 +152,20 @@ def _cmd_sweep(args) -> int:
         random_count=args.random,
         edge_probability=args.edge_prob,
         seed=args.seed,
-        search_budget=_budget(args),
+        search_budget=SearchBudget(max_nodes=args.budget_nodes),
         max_exhaustive_n=args.max_exhaustive_n,
         output_csv=args.out,
     )
-    report = run_sweep(cfg)
-    summary = report.summary()
+    counts = run_sweep(cfg).counts()
     print(
-        f"rows={summary['rows']} skipped={summary['skipped']} "
-        f"forward_failures={summary['forward_failures']} "
-        f"backward_failures={summary['backward_failures']}"
+        f"rows={counts['rows']} skipped={counts['skipped']} "
+        f"forward_failures={counts['forward_failures']} "
+        f"backward_failures={counts['backward_failures']}"
     )
-    if report.skipped_rows:
+    if counts["skipped"]:
         return EXIT_BUDGET
-    if args.strict and report.counterexamples:
+    # The counterexample rows are exactly the rows with either failure.
+    if args.strict and (counts["forward_failures"] or counts["backward_failures"]):
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
 

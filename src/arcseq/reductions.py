@@ -172,9 +172,7 @@ class MaxIndependentSet(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def max_independent_set(
-    g: Graph, max_vertices: int = 20, max_nodes: int | None = None
-) -> MaxIndependentSet:
+def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
     """Exact maximum independent set of g by branch and bound.
 
     The witness is the lexicographically smallest optimum.
@@ -187,9 +185,7 @@ def max_independent_set(
             f"graph with {g.n} vertices exceeds independent-set budget {max_vertices}"
         )
     vertices = range(1, g.n + 1)
-    size, members, _ = lexmin_maximum_independent_set(
-        vertices, adjacency(vertices, g.edges), max_nodes=max_nodes
-    )
+    size, members, _ = lexmin_maximum_independent_set(vertices, adjacency(vertices, g.edges))
     return MaxIndependentSet(size, members)
 
 
@@ -443,19 +439,28 @@ class EquivalenceReport:
     def skipped_rows(self) -> list[EquivalenceRow]:
         return [r for r in self.rows if r.skipped]
 
-    def summary(self) -> dict:
+    def counts(self) -> dict[str, int]:
+        """The row tallies that the summary, ``arcseq sweep`` and the sweep demo
+        print. Failures count completed rows only; a row with either failure
+        is a counterexample."""
         done = [r for r in self.rows if not r.skipped]
-        skipped = self.skipped_rows
         return {
-            "theorem": self.theorem,
             "rows": len(self.rows),
             "completed": len(done),
-            "skipped": len(skipped),
-            "forward_failures": sum(1 for r in done if not r.forward_ok),
-            "backward_failures": sum(1 for r in done if not r.backward_ok),
+            "skipped": len(self.rows) - len(done),
+            "forward_failures": sum(not r.forward_ok for r in done),
+            "backward_failures": sum(not r.backward_ok for r in done),
+        }
+
+    def summary(self) -> dict:
+        """The theorem, :meth:`counts`, and the counterexample and skipped rows."""
+        return {
+            "theorem": self.theorem,
+            **self.counts(),
             "counterexamples": [dict(zip(ROW_FIELDS, r)) for r in self.counterexamples],
             "skipped_rows": [
-                {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason} for r in skipped
+                {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason}
+                for r in self.skipped_rows
             ],
         }
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -121,12 +121,7 @@ class SweepConfig:
             "random_count": self.random_count,
             "edge_probability": self.edge_probability,
             "seed": self.seed,
-            "budget": {
-                "max_cells": self.search_budget.max_cells,
-                "max_identity_length": self.search_budget.max_identity_length,
-                "max_nodes": self.search_budget.max_nodes,
-                "mis_max_vertices": self.mis_max_vertices,
-            },
+            "budget": {**asdict(self.search_budget), "mis_max_vertices": self.mis_max_vertices},
         }
 
 
@@ -208,22 +203,10 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     return report
 
 
-def _cell(value: bool | int | str | None) -> str:
-    if value is None:
-        return "skipped"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def row_cells(row: EquivalenceRow) -> dict[str, str]:
-    """The row's report text, keyed by field name in ROW_FIELDS order."""
-    return dict(zip(ROW_FIELDS, map(_cell, row)))
-
-
-# _cell by lookup, for a column whose values are all bools or None, or all
-# non-bools or None. A column holding both kinds falls back to _cell, since
-# True == 1 and False == 0 share one dict key.
+# A cell's text is "skipped" for None, "true" or "false" for a bool, and
+# str() of any other value. A column whose values are all bools or None, or
+# all non-bools or None, is rendered by lookup; a column holding both kinds
+# value by value, since True == 1 and False == 0 share one dict key.
 _FLAG_CELLS = {True: "true", False: "false", None: "skipped"}
 _NONE_CELL = {None: "skipped"}
 
@@ -233,15 +216,25 @@ def _column_cells(values: tuple) -> Iterator[str]:
     if kinds <= {bool, type(None)}:
         return map(_FLAG_CELLS.__getitem__, values)
     if bool in kinds:
-        return map(_cell, values)
+        return (_FLAG_CELLS[v] if v is None or type(v) is bool else str(v) for v in values)
     return map(_NONE_CELL.get, values, map(str, values))
+
+
+def row_cells(row: EquivalenceRow) -> dict[str, str]:
+    """The row's report text, keyed by field name in ROW_FIELDS order.
+
+    The ``verify`` line prints these. Each field is rendered as a column of
+    one value by the column renderer that :func:`render_csv` uses.
+    """
+    return dict(zip(ROW_FIELDS, map(next, map(_column_cells, zip(row)))))
 
 
 def render_csv(report: EquivalenceReport) -> str:
     """The report as CSV text: the header, then one line per row.
 
-    Each line is ``row_cells(row)`` joined by commas. The cells are rendered
-    a column at a time, with no Python call per cell.
+    Each line is ``row_cells(row)`` joined by commas: the cells come from the
+    same column renderer, run a column at a time, with no Python call per
+    cell.
     """
     columns = list(zip(*report.rows))[: len(ROW_FIELDS)]
     lines = map(",".join, zip(*map(_column_cells, columns)))

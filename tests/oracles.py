@@ -199,6 +199,17 @@ def oracle_level(arcs) -> StructureLevel:
     return StructureLevel.UNLIMITED
 
 
+def per_value_cell(value: bool | int | str | None) -> str:
+    """A report cell as the sweep rendered it before every cell went through
+    the column renderer: one call per value. Kept verbatim as the reference
+    the CSV and the verify line must match."""
+    if value is None:
+        return "skipped"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def line_loop_parse_annotated_sequence(text: str) -> AnnotatedSequence:
     """The sequence-file parser as it was before the bulk path: one line at a
     time, for every text. Kept verbatim as the reference the parser must

@@ -14,6 +14,7 @@ from arcseq.formats import (
     save_graph,
     write_annotated_sequence,
 )
+from arcseq.reductions import EquivalenceReport
 
 TRIANGLE = Graph(3, {(1, 2), (1, 3), (2, 3)})
 
@@ -226,6 +227,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "is_answer=true" in out and "lapcs_answer=true" in out
 
+    def test_row_over_the_node_budget_prints_skipped_cells(self, tmp_path, capsys):
+        path = tmp_path / "star.col"
+        save_graph(Graph(4, {(1, 2), (1, 3), (1, 4)}), path)
+        assert main(["verify", str(path), "1", "--theorem", "1", "--budget-nodes", "1"]) == 2
+        assert capsys.readouterr().out == (
+            "graph_id=star n=4 m=3 connected=true k=1 is_answer=skipped "
+            "lapcs_len=skipped threshold=1 lapcs_answer=skipped forward_ok=skipped "
+            "backward_ok=skipped\n"
+        )
+
     def test_undecodable_graph_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.col"
         path.write_bytes(b"p edge 2 1\ne 1 2\n\xc3")
@@ -256,6 +267,31 @@ class TestSweep:
         code = main(["sweep", "--theorem", "1", "--n-min", "4", "--n-max", "4",
                      "--out", str(out), "--budget-nodes", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags,line,code",
+        [
+            (["--theorem", "2", "--n-max", "3", "--strict"],
+             "rows=29 skipped=0 forward_failures=0 backward_failures=1", 3),
+            (["--theorem", "1", "--n-max", "4", "--budget-nodes", "1"],
+             "rows=285 skipped=92 forward_failures=0 backward_failures=0", 2),
+        ],
+    )
+    def test_printed_counts_and_exit_code(self, tmp_path, capsys, flags, line, code):
+        assert main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == code
+        assert capsys.readouterr().out == line + "\n"
+
+    def test_summary_is_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        summary = EquivalenceReport.summary
+
+        def counted(report):
+            calls.append(report)
+            return summary(report)
+
+        monkeypatch.setattr(EquivalenceReport, "summary", counted)
+        main(["sweep", "--theorem", "2", "--n-max", "3", "--out", str(tmp_path / "s.csv")])
+        assert len(calls) == 1
 
     def test_random_mode_requires_seed(self, tmp_path, capsys):
         code = main(["sweep", "--theorem", "1", "--n-max", "3", "--random", "5",

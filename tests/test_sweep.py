@@ -1,5 +1,6 @@
 """Sweep orchestration: determinism, skip handling, report files."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from arcseq import ValidationError, check_equivalence, reductions
 from arcseq.generate import exhaustive_graphs
 from arcseq.solvers import SearchBudget
-from arcseq.reductions import EquivalenceReport, EquivalenceRow
+from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow
 from arcseq.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -17,6 +18,7 @@ from arcseq.sweep import (
     row_cells,
     run_sweep,
 )
+from oracles import per_value_cell
 
 # sha256 of the CSV and the summary JSON of the exhaustive all-k sweeps,
 # captured before the sweep evaluated each graph once for all k.
@@ -205,15 +207,55 @@ def test_skipped_rows_rendered_distinctly(tmp_path):
 
 def test_csv_lines_are_the_row_cells():
     # render_csv renders a column at a time; each line must still be the
-    # row's own cells. Rows mix completed and skipped ones, and the last
-    # puts an int among the bools of a flag column and a bool among ints.
+    # row's own cells, and each cell what one call per value gave. Rows mix
+    # completed and skipped ones, and the last puts an int among the bools
+    # of a flag column and a bool among ints.
     rows = run_sweep(SweepConfig("T1", (1, 3))).rows
     rows += run_sweep(SweepConfig("T1", (3, 3), k_policy=1, mis_max_vertices=2)).rows
     rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1))
+    assert any(r.skipped for r in rows) and not all(r.skipped for r in rows)
+    for r in rows:
+        assert row_cells(r) == dict(zip(ROW_FIELDS, map(per_value_cell, r)))
     text = render_csv(EquivalenceReport("T1", rows))
     expected = [CSV_HEADER] + [",".join(row_cells(r).values()) for r in rows]
     assert text == "\n".join(expected) + "\n"
     assert text.splitlines()[-1].startswith("odd,true,")
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SweepConfig("T1", (1, 4)),
+        SweepConfig("T2", (1, 4)),
+        SweepConfig("T1", (4, 4), search_budget=SearchBudget(max_nodes=1)),
+        SweepConfig(
+            "T1", (2, 2), graph_source="random", random_count=0, edge_probability=0.5, seed=1
+        ),
+    ],
+    ids=["T1", "T2", "skips", "empty"],
+)
+def test_counts_are_the_summary_tallies(cfg):
+    report = run_sweep(cfg)
+    summary = report.summary()
+    scalars = {key: value for key, value in summary.items() if type(value) is int}
+    assert report.counts() == scalars
+    assert list(scalars) == [
+        "rows", "completed", "skipped", "forward_failures", "backward_failures"
+    ]
+    assert summary["rows"] == len(report.rows)
+    assert summary["skipped"] == len(report.skipped_rows)
+    # arcseq sweep --strict reads counterexamples off the two failure counts.
+    failures = summary["forward_failures"] + summary["backward_failures"]
+    assert bool(summary["counterexamples"]) == bool(failures)
+
+
+def test_budget_echo_is_the_search_budget_fields():
+    cfg = SweepConfig("T1", (1, 2), search_budget=SearchBudget(max_cells=9, max_nodes=5))
+    fields = [f.name for f in dataclasses.fields(SearchBudget)]
+    assert cfg.config_echo()["budget"] == {
+        **{name: getattr(cfg.search_budget, name) for name in fields},
+        "mis_max_vertices": 20,
+    }
 
 
 def test_node_budget_skips_hard_rows():
