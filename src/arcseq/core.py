@@ -47,6 +47,18 @@ __all__ = [
 Arc = tuple[int, int]
 
 
+def _require_int(value, what: str) -> None:
+    """Reject a position, width, count or size that is not an int.
+
+    A bool is not one here, nor is a float with an integral value.
+
+    Raises:
+        ValidationError: type(value) is not int.
+    """
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def _trusted(cls, **fields):
     """A frozen dataclass instance from canonical fields, skipping its checks.
 
@@ -94,12 +106,14 @@ def _arcs_from_ends(lo: list[int], hi: list[int], n: int) -> frozenset[Arc] | No
 def _canonical_arcs(arcs: Iterable[Arc], n: int) -> frozenset[Arc]:
     """Normalize arcs to (min, max) pairs and validate endpoints.
 
-    Duplicate and reversed duplicates merge silently; (i, i) self-pairs and
-    out-of-range endpoints are rejected.
+    Duplicate and reversed duplicates merge silently; non-integer endpoints,
+    (i, i) self-pairs and out-of-range endpoints are rejected.
     """
     canon = set()
     for arc in arcs:
         i, j = arc
+        if type(i) is not int or type(j) is not int:
+            raise ValidationError(f"arc ({i!r}, {j!r}) has a non-integer endpoint")
         if i == j:
             raise ValidationError(f"arc ({i}, {j}) links a position to itself")
         if i > j:
@@ -205,6 +219,8 @@ class Mapping:
         ordered = tuple(sorted(self.pairs))
         prev_i, prev_j = 0, 0
         for i, j in ordered:
+            if type(i) is not int or type(j) is not int:
+                raise ValidationError(f"mapping pair ({i!r}, {j!r}) has a non-integer position")
             if i < 1 or j < 1:
                 raise ValidationError(f"mapping pair ({i}, {j}) has a position < 1")
             if i <= prev_i or j <= prev_j:
@@ -284,6 +300,8 @@ class MatchConstraint:
             raise ValidationError(f"unknown constraint kind {self.kind!r}")
         if self.kind == "unconstrained" and self.c is not None:
             raise ValidationError("unconstrained constraint takes no width")
+        if self.c is not None:
+            _require_int(self.c, "constraint width c")
         if self.kind == "fragment" and (self.c is None or self.c < 1):
             raise ValidationError("fragment constraint requires c >= 1")
         if self.kind == "diagonal" and (self.c is None or self.c < 0):

@@ -47,20 +47,11 @@ __all__ = [
 # The arc lines of a canonical file: "i j\n", each a positive integer of at
 # most 18 ASCII digits without a leading zero, one space, every line ended.
 _CANONICAL_ARC_LINES = re.compile(r"(?:[1-9][0-9]{0,17} [1-9][0-9]{0,17}\n)*")
-_LINES_PER_BLOCK = 4096
 
 
 def _pair_lines(pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> str:
-    """One "i j\n" line per pair, in order.
-
-    Pairs are formatted a block at a time, with one % operation over the
-    block's flattened ends, and the blocks joined once.
-    """
-    blocks = []
-    for start in range(0, len(pairs), _LINES_PER_BLOCK):
-        block = pairs[start:start + _LINES_PER_BLOCK]
-        blocks.append("%s %s\n" * len(block) % tuple(chain.from_iterable(block)))
-    return "".join(blocks)
+    """One "i j\n" line per pair, in order, from one % over the flattened ends."""
+    return "%s %s\n" * len(pairs) % tuple(chain.from_iterable(pairs))
 
 
 def write_annotated_sequence(a: AnnotatedSequence) -> str:

@@ -11,7 +11,7 @@ from typing import Iterator
 
 from .core import AnnotatedSequence, Arc, StructureLevel
 from .errors import ValidationError
-from .reductions import Graph, _canonical_graph, edge_universe
+from .reductions import Graph, _canonical_graph, _check_vertex_count, edge_universe
 
 __all__ = [
     "exhaustive_graphs",
@@ -36,8 +36,9 @@ def random_graph(rng: random.Random, n: int, edge_probability: float) -> Graph:
     """One draw from the G(n, p) model, over the canonical edge universe.
 
     Raises:
-        ValidationError: n < 0 or p outside [0, 1].
+        ValidationError: n is not an int, n < 0, or p is outside [0, 1].
     """
+    _check_vertex_count(n)
     if not 0.0 <= edge_probability <= 1.0:
         raise ValidationError("edge probability must be within [0, 1]")
     return _canonical_graph(

@@ -45,6 +45,7 @@ from .core import (
     MatchConstraint,
     StructureLevel,
     _no_shared_endpoints,
+    _require_int,
     _trusted,
     is_arc_preserving,
     validate_mapping,
@@ -80,18 +81,20 @@ class IndependenceViolationWarning(UserWarning):
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
-    Edges are canonicalized to (i, j) with i < j and deduplicated; loops are
-    rejected. Connectivity is not required.
+    n and the edge endpoints are ints. Edges are canonicalized to (i, j)
+    with i < j and deduplicated; loops are rejected. Connectivity is not
+    required.
     """
 
     n: int
     edges: frozenset[Arc] = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError("vertex count must be non-negative")
+        _check_vertex_count(self.n)
         canon = set()
         for i, j in self.edges:
+            if type(i) is not int or type(j) is not int:
+                raise ValidationError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
             if i == j:
                 raise ValidationError(f"loop at vertex {i} not allowed")
             if i > j:
@@ -142,22 +145,30 @@ class Graph:
         by construction and not re-checked.
 
         Raises:
-            ValidationError: mask outside 0..2^(n(n-1)/2) - 1, or n < 0.
+            ValidationError: n or mask is not an int, n < 0, or mask is
+                outside 0..2^(n(n-1)/2) - 1.
         """
+        _check_vertex_count(n)
         universe = edge_universe(n)
-        if mask < 0 or mask >> len(universe):
+        if type(mask) is not int or mask < 0 or mask >> len(universe):
             raise ValidationError(f"mask {mask} out of range for n={n}")
         return _canonical_graph(n, compress(universe, bit_flags(mask)))
 
 
-def _canonical_graph(n: int, edges: Iterable[Arc]) -> Graph:
-    """``Graph(n, edges)`` for edges already canonical and in range.
-
-    Only n is checked. The edge set is built as the constructor builds it,
-    so the two graphs agree on their repr too.
-    """
+def _check_vertex_count(n: int) -> None:
+    """Raises ValidationError unless n is an int >= 0."""
+    _require_int(n, "vertex count")
     if n < 0:
         raise ValidationError("vertex count must be non-negative")
+
+
+def _canonical_graph(n: int, edges: Iterable[Arc]) -> Graph:
+    """``Graph(n, edges)``, unchecked: the caller has checked n, and the
+    edges are canonical and in range.
+
+    The edge set is built as the constructor builds it, so the two graphs
+    agree on their repr too.
+    """
     return _trusted(Graph, n=n, edges=frozenset(set(edges)))
 
 
@@ -234,8 +245,7 @@ def _case_and_threshold(theorem: str, n: int, k: int) -> tuple[str | None, int]:
     Raises:
         ValidationError: k is not an int (a bool is not one here), or k < 1.
     """
-    if type(k) is not int:
-        raise ValidationError(f"threshold k must be an integer, got {k!r}")
+    _require_int(k, "threshold k")
     if k < 1:
         raise ValidationError("threshold k must be >= 1")
     if theorem == "T1":

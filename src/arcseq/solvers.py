@@ -4,8 +4,9 @@ Three routes, all exact:
 
 * :func:`lcs_dp` -- arc-free inputs, on bit-parallel suffix-LCS rows:
   O(n * ceil(m / w)) word operations, n * m bits of rows, and O(n + L) row
-  lookups for the witness. :func:`exact_search` reads its LCS bound from the
-  same rows.
+  lookups for the witness. :func:`exact_search`'s pair search reads its LCS
+  bound from the same rows, one masked popcount per read, with no per-call
+  table.
 * :func:`diagonal_conflict_solve` -- identity-constrained instances
   (fragment width 1 / diagonal width 0) reduce to maximum independent set on
   a conflict graph; when every position carries at most one arc per side the
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import eq
 
-from .core import AnnotatedSequence, Mapping, MatchConstraint, _trusted
+from .core import AnnotatedSequence, Mapping, MatchConstraint, _require_int, _trusted
 from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
 from .mis import adjacency, lexmin_maximum_independent_set
 
@@ -58,7 +59,8 @@ class SearchBudget:
         max_nodes: optional cap on explored search nodes.
 
     Raises:
-        ValidationError: a cap is negative, or max_nodes is below 1.
+        ValidationError: a cap is not an int, a cap is negative, or max_nodes
+            is below 1.
     """
 
     max_cells: int = 400
@@ -66,6 +68,10 @@ class SearchBudget:
     max_nodes: int | None = None
 
     def __post_init__(self):
+        _require_int(self.max_cells, "max_cells")
+        _require_int(self.max_identity_length, "max_identity_length")
+        if self.max_nodes is not None:
+            _require_int(self.max_nodes, "max_nodes")
         if self.max_cells < 0 or self.max_identity_length < 0:
             raise ValidationError(
                 f"search budget caps must be >= 0, got max_cells={self.max_cells}, "
@@ -114,10 +120,13 @@ def _plain_string(s: str | AnnotatedSequence, side: str) -> str:
 def _suffix_lcs_rows(s1: str, s2: str) -> list[int]:
     """Bit-parallel suffix-LCS rows of s1 against s2, one m-bit int per S1 suffix.
 
-    Bit t of rows[i] stands for S2 position m - t, and rows[i] (i = 1..n+1)
-    encodes the LCS lengths of s1[i..] against every suffix of s2: read one
-    with :func:`_suffix_lcs`. The rows come from the bit-vector LCS
-    recurrence of Allison & Dix (1986) in the form of Hyyro (2004),
+    Bit t of rows[i] stands for S2 position m - t, and is set exactly when
+    that position is an LCS step: when the LCS of s1[i..] against s2[m-t..]
+    is one more than against s2[m-t+1..]. So the LCS of s1[i..] and s2[j..]
+    (1-based, i = 1..n+1, j = 1..m+1) is one masked popcount,
+    ``(rows[i] & ((1 << m - j + 1) - 1)).bit_count()``, and rows[n + 1] is
+    0. The steps are the complement of V in the bit-vector LCS recurrence of
+    Allison & Dix (1986) in the form of Hyyro (2004),
     V = ((V + U) | (V - U)) & full with U = V & match[ch], run over both
     strings reversed: O(n * ceil(m / w)) word operations for machine words of
     w bits, and n * m bits of storage. rows[0] is unused.
@@ -127,31 +136,13 @@ def _suffix_lcs_rows(s1: str, s2: str) -> list[int]:
     for t, ch in enumerate(reversed(s2)):
         match[ch] = match.get(ch, 0) | 1 << t
     full = (1 << m) - 1
-    rows = [full] * (n + 2)
+    rows = [0] * (n + 2)
     v = full
     for i in range(n, 0, -1):
         u = v & match.get(s1[i - 1], 0)
         v = ((v + u) | (v - u)) & full
-        rows[i] = v
+        rows[i] = v ^ full
     return rows
-
-
-def _suffix_lcs(row: int, m: int, j: int) -> int:
-    """LCS length of s1[i..] and s2[j..] (1-based) from row = rows[i]."""
-    c = m - j + 1
-    return c - (row & ((1 << c) - 1)).bit_count()
-
-
-def _suffix_lcs_table(s1: str, s2: str) -> list[list[int]]:
-    """table[i][j] = LCS length of s1[i..] and s2[j..] (1-based suffixes)."""
-    m = len(s2)
-    # _suffix_lcs per cell, with the masks of columns j = 1..m+1 made once.
-    widths = range(m, -1, -1)
-    masks = [(1 << c) - 1 for c in widths]
-    return [[0] * (m + 2)] + [
-        [0] + [c - (row & mask).bit_count() for c, mask in zip(widths, masks)]
-        for row in _suffix_lcs_rows(s1, s2)[1:]
-    ]
 
 
 def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveResult:
@@ -176,14 +167,14 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
 
     pairs: list[tuple[int, int]] = []
     j = 1
-    target = _suffix_lcs(rows[1], m, 1)
+    target = rows[1].bit_count()
     for i in range(1, n + 1):
         if not target:
             break
         # (i, j2) completes an optimum iff LCS(s1[i+1..], s2[j2+1..]) =
         # target - 1, i.e. iff the suffix LCS at (i, j2) is still target.
         j2 = str2.find(str1[i - 1], j - 1) + 1
-        if j2 and _suffix_lcs(rows[i], m, j2) == target:
+        if j2 and (rows[i] & ((1 << m - j2 + 1) - 1)).bit_count() == target:
             pairs.append((i, j2))
             j = j2 + 1
             target -= 1
@@ -450,7 +441,8 @@ def exact_search(
 
     Branch and bound over candidate pairs in lexicographic order. The upper
     bound is the plain LCS of the remaining suffixes, which is admissible
-    because dropping arcs and constraints only relaxes the problem.
+    because dropping arcs and constraints only relaxes the problem; each
+    bound test reads it from the suffix-LCS rows as one masked popcount.
     Identity-forcing constraints take a specialized route (independent set
     on the conflict structure) with identical results and tie-break.
 
@@ -475,7 +467,10 @@ def exact_search(
 
     s1, s2 = a1.seq, a2.seq
     p1, p2 = a1.arcs, a2.arcs
-    table = _suffix_lcs_table(s1, s2)
+    rows = _suffix_lcs_rows(s1, s2)
+    # masks[j] keeps the bits of S2 positions j..m: the LCS of s1[i..] and
+    # s2[j..] is (rows[i] & masks[j]).bit_count().
+    masks = [(1 << m - j + 1) - 1 for j in range(m + 2)]
 
     best: list[tuple[int, int]] = []
     best_len = -1
@@ -489,16 +484,18 @@ def exact_search(
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetError(f"exhaustive search exceeded {max_nodes} nodes")
-        if len(cur) > best_len:
-            best_len = len(cur)
+        # cur holds depth pairs whenever this node runs: the main loop pops
+        # each child's pair before it resumes the node.
+        depth = len(cur)
+        if depth > best_len:
+            best_len = depth
             best = list(cur)
-        if len(cur) + table[last_i + 1][last_j + 1] <= best_len:
-            return
         for i in range(last_i + 1, n + 1):
-            if len(cur) + table[i][last_j + 1] <= best_len:
+            row = rows[i]
+            if depth + (row & masks[last_j + 1]).bit_count() <= best_len:
                 break
             for j in range(last_j + 1, m + 1):
-                if len(cur) + table[i][j] <= best_len:
+                if depth + (row & masks[j]).bit_count() <= best_len:
                     break
                 if s1[i - 1] != s2[j - 1] or not mc.allows(i, j):
                     continue

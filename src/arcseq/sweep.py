@@ -19,6 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+from .core import _require_int
 from .errors import ArcseqError, BudgetError, ValidationError
 from .generate import exhaustive_graphs, random_graph
 from .reductions import (
@@ -56,7 +57,9 @@ class SweepConfig:
 
     k_policy is either the string "all" (k = 1..n per graph) or a fixed
     int (not a bool). graph_source is "exhaustive" or "random"; random mode
-    draws `random_count` graphs per vertex count and requires a seed.
+    draws `random_count` graphs per vertex count and requires a seed. The
+    vertex counts, random_count and the caps are ints too: a bool or a
+    float is rejected.
     """
 
     theorem: str
@@ -75,15 +78,18 @@ class SweepConfig:
         if self.theorem not in REDUCTIONS:
             raise ValidationError(f"theorem must be 'T1' or 'T2', got {self.theorem!r}")
         lo, hi = self.n_range
-        if lo < 1 or hi < lo:
+        if type(lo) is not int or type(hi) is not int or lo < 1 or hi < lo:
             raise ValidationError(f"bad vertex-count range {self.n_range}")
         if type(self.k_policy) is int:
             if self.k_policy < 1:
                 raise ValidationError("fixed k must be >= 1")
         elif self.k_policy != "all":
             raise ValidationError("k_policy must be 'all' or a positive integer")
-        if self.max_exhaustive_n is not None and self.max_exhaustive_n < 1:
-            raise ValidationError("max_exhaustive_n must be >= 1")
+        _require_int(self.mis_max_vertices, "mis_max_vertices")
+        if self.max_exhaustive_n is not None:
+            _require_int(self.max_exhaustive_n, "max_exhaustive_n")
+            if self.max_exhaustive_n < 1:
+                raise ValidationError("max_exhaustive_n must be >= 1")
         if self.graph_source == "exhaustive":
             cap = self.max_exhaustive_n
             if cap is None:
@@ -96,7 +102,7 @@ class SweepConfig:
         elif self.graph_source == "random":
             if self.seed is None:
                 raise ValidationError("random mode requires a seed")
-            if self.random_count is None or self.random_count < 0:
+            if type(self.random_count) is not int or self.random_count < 0:
                 raise ValidationError("random mode requires random_count >= 0")
             if self.edge_probability is None or not 0 <= self.edge_probability <= 1:
                 raise ValidationError("random mode requires 0 <= edge_probability <= 1")

@@ -36,6 +36,15 @@ class TestAnnotatedSequence:
         with pytest.raises(ValidationError):
             AnnotatedSequence("abc", {(0, 2)})
 
+    @pytest.mark.parametrize("arc", [(1.0, 2.0), (True, 2), (1, 2.0), ("1", 2)])
+    def test_non_integer_endpoint_rejected(self, arc):
+        # A float or a bool would be written as "1.0" or "True", which the
+        # parser rejects, so write -> parse would not round-trip.
+        with pytest.raises(ValidationError, match="non-integer endpoint"):
+            AnnotatedSequence("ab", {arc})
+        with pytest.raises(ValidationError, match="non-integer endpoint"):
+            classify_structure([arc], 2)
+
     def test_empty_sequence_has_no_arcs(self):
         assert AnnotatedSequence("").arcs == frozenset()
         with pytest.raises(ValidationError):
@@ -148,6 +157,11 @@ class TestMapping:
         with pytest.raises(ValidationError):
             Mapping(((0, 1),))
 
+    @pytest.mark.parametrize("pair", [(1.0, 1), (1, True), (2, 1.5)])
+    def test_positions_must_be_integers(self, pair):
+        with pytest.raises(ValidationError, match="non-integer position"):
+            Mapping((pair,))
+
     def test_identity_constructor(self):
         m = Mapping.identity([3, 1])
         assert m.pairs == ((1, 1), (3, 3))
@@ -248,6 +262,10 @@ class TestMatchConstraint:
             MatchConstraint.diagonal(-1)
         with pytest.raises(ValidationError):
             MatchConstraint("bogus")
+        for make in (MatchConstraint.fragment, MatchConstraint.diagonal):
+            for c in (True, 0.5, 2.0, "2"):
+                with pytest.raises(ValidationError, match="must be an integer"):
+                    make(c)
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_identity_equivalence(self, i, j):

@@ -88,6 +88,23 @@ class TestGraph:
         with pytest.raises(ValidationError):
             Graph(3, {(1, 4)})
 
+    def test_non_integer_counts_and_endpoints_rejected(self):
+        # Graph(2.0).is_connected() and write_graph(Graph(3, {(1.0, 3)}))
+        # would fail later; the constructor rejects them up front.
+        for n in (2.0, True, "3", None):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                Graph(n)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                Graph.from_mask(n, 0)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                random_graph(random.Random(0), n, 0.5)
+        for edge in ((1.0, 3), (True, 3), (1, 3.0)):
+            with pytest.raises(ValidationError, match="non-integer endpoint"):
+                Graph(3, {edge})
+        for mask in (1.0, "1"):
+            with pytest.raises(ValidationError, match="out of range"):
+                Graph.from_mask(3, mask)
+
     def test_connectivity(self):
         assert TRIANGLE.is_connected()
         assert not Graph(3, {(1, 2)}).is_connected()

@@ -29,6 +29,7 @@ from arcseq import (
 )
 from arcseq.formats import parse_annotated_sequence
 from arcseq.generate import random_annotated_sequence, random_arcs
+from arcseq.solvers import _suffix_lcs_rows
 
 from oracles import (
     brute_identity_lapcs,
@@ -85,6 +86,22 @@ class TestLcsDp:
             s1 = "".join(rng.choice("ab") for _ in range(rng.randint(0, 9)))
             s2 = "".join(rng.choice("ab") for _ in range(rng.randint(0, 9)))
             assert lcs_dp(s1, s2).length == brute_lcs(s1, s2)
+
+    def test_every_suffix_lcs_read_matches_brute_force(self):
+        # The LCS of s1[i..] and s2[j..] is one masked popcount of rows[i],
+        # for every i in 1..n+1 and j in 1..m+1, empty suffixes included.
+        rng = random.Random(29)
+        for alphabet in ("a", "ab", "abc", "abcd"):
+            for _ in range(75):
+                s1 = _random_string(rng, alphabet, rng.randint(0, 9))
+                s2 = _random_string(rng, alphabet, rng.randint(0, 9))
+                n, m = len(s1), len(s2)
+                rows = _suffix_lcs_rows(s1, s2)
+                assert len(rows) == n + 2 and rows[n + 1] == 0
+                for i in range(1, n + 2):
+                    for j in range(1, m + 2):
+                        got = (rows[i] & ((1 << m - j + 1) - 1)).bit_count()
+                        assert got == brute_lcs(s1[i - 1:], s2[j - 1:]), (s1, s2, i, j)
 
     def test_witness_is_the_brute_force_lexmin(self):
         rng = random.Random(73)
@@ -455,7 +472,10 @@ class TestExactSearch:
 
     def test_malformed_budget_rejected(self):
         for bad in ({"max_cells": -1}, {"max_identity_length": -1},
-                    {"max_nodes": 0}, {"max_nodes": -3}):
+                    {"max_nodes": 0}, {"max_nodes": -3},
+                    {"max_nodes": 2.5}, {"max_nodes": True}, {"max_cells": 1.5},
+                    {"max_cells": "9"}, {"max_identity_length": 64.0},
+                    {"max_identity_length": None}):
             with pytest.raises(ValidationError):
                 SearchBudget(**bad)
         assert SearchBudget(max_cells=0, max_identity_length=0, max_nodes=1).max_nodes == 1
@@ -566,6 +586,16 @@ def test_pair_route_explores_the_pinned_tree():
         for r in (exact_search(a1, a2, mc) for a1, a2, mc in pair_route_instances())
     ]
     assert got == PAIR_ROUTE_PINS
+
+
+def test_pair_route_node_budget_is_exact():
+    # The pinned node count is exactly what each search needs: a budget of
+    # that many nodes gives the pinned result, one node fewer gives up.
+    for (a1, a2, mc), (length, nodes, pairs) in zip(pair_route_instances(), PAIR_ROUTE_PINS):
+        r = exact_search(a1, a2, mc, SearchBudget(max_nodes=nodes))
+        assert (r.length, r.stats["nodes"], r.witness.pairs) == (length, nodes, pairs)
+        with pytest.raises(BudgetError):
+            exact_search(a1, a2, mc, SearchBudget(max_nodes=nodes - 1))
 
 
 # (candidates, conflict_edges, components) of diagonal_conflict_solve, then

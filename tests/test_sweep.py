@@ -295,6 +295,19 @@ def test_invalid_configs_rejected():
             SweepConfig("T1", (2, 2), k_policy=k)
     with pytest.raises(ValidationError):
         SweepConfig("T1", (1, 2), graph_source="mystery")
+    for n_range in ((1, 2.5), (True, 2), (1.0, 2), ("1", 2)):
+        with pytest.raises(ValidationError, match="vertex-count range"):
+            SweepConfig("T1", n_range)
+    for count in (1.5, True, "2", None, -1):
+        with pytest.raises(ValidationError, match="random_count"):
+            SweepConfig(
+                "T1", (1, 2), graph_source="random", random_count=count, edge_probability=0.5,
+                seed=1,
+            )
+    for field_name in ("mis_max_vertices", "max_exhaustive_n"):
+        for value in (20.0, True, "20"):
+            with pytest.raises(ValidationError, match=field_name):
+                SweepConfig("T1", (1, 2), **{field_name: value})
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(ValidationError, match="edge_probability"):
             SweepConfig(
