@@ -216,11 +216,14 @@ class Mapping:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.pairs))
-        prev_i, prev_j = 0, 0
-        for i, j in ordered:
+        # Types first: sorting pairs of mixed types would raise TypeError.
+        pairs = tuple(self.pairs)
+        for i, j in pairs:
             if type(i) is not int or type(j) is not int:
                 raise ValidationError(f"mapping pair ({i!r}, {j!r}) has a non-integer position")
+        ordered = tuple(sorted(pairs))
+        prev_i, prev_j = 0, 0
+        for i, j in ordered:
             if i < 1 or j < 1:
                 raise ValidationError(f"mapping pair ({i}, {j}) has a position < 1")
             if i <= prev_i or j <= prev_j:

@@ -26,6 +26,9 @@ def exhaustive_graphs(n: int) -> Iterator[tuple[int, Graph]]:
 
     Yields (mask, graph) pairs; the mask indexes the lexicographic edge
     universe and doubles as a stable graph identifier.
+
+    Raises:
+        ValidationError: n is not an int, or n < 0 (when iteration starts).
     """
     bits = len(edge_universe(n))
     for mask in range(1 << bits):

@@ -4,21 +4,22 @@ Shared search engine: the graph-side oracle of the reduction checker and the
 identity-constrained path of the exhaustive solver are both maximum
 independent set problems over small vertex sets.
 
-Vertex sets are Python-int bitmasks over the vertices' ranks in sorted
-order, after the bit-parallel maximum-clique search of San Segundo et al.
-(2011), "An exact bit-parallel algorithm for the maximum clique problem",
-applied here to independent sets. The search keeps its own stack, so its
-depth is not limited by Python's recursion limit.
+A graph reaches the search as :class:`NeighborMasks`, built once from its
+edges: Python-int bitmasks over the vertices' ranks in sorted order, after
+the bit-parallel maximum-clique search of San Segundo et al. (2011), "An
+exact bit-parallel algorithm for the maximum clique problem", applied here
+to independent sets. The search keeps its own stack, so its depth is not
+limited by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping as MappingABC, Set
 from itertools import compress
-from typing import Iterable, Mapping as MappingABC, Set
 
 from .errors import BudgetError
 
-__all__ = ["adjacency", "lexmin_maximum_independent_set"]
+__all__ = ["NeighborMasks", "adjacency", "lexmin_maximum_independent_set"]
 
 
 def adjacency(
@@ -46,6 +47,47 @@ def bit_flags(mask: int) -> bytes:
     A selector for :func:`itertools.compress` over a mask's universe.
     """
     return bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+
+
+class NeighborMasks(MappingABC):
+    """The graph on ``vertices`` with ``edges``, as the engine reads it.
+
+    ``order`` holds the labels in ascending order; bit j of ``masks[i]`` is
+    set when the labels of ranks i < j are adjacent. An edge may be listed
+    in either direction, more than once; loops and edges leaving
+    ``vertices`` are left out, as :func:`adjacency` leaves them out. As a
+    read-only mapping, a label's value is its full neighbour set.
+    """
+
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
+        self.order = order = tuple(sorted(set(vertices)))
+        n = len(order)
+        self.masks = masks = [0] * n
+        low, high = (order[0], order[-1]) if n else (0, -1)
+        if high - low != n - 1:
+            # Gapped labels are ranked through a table; contiguous ones, as
+            # in every graph on 1..n, by their offset from the lowest.
+            rank = {v: i for i, v in enumerate(order)}.get
+            edges = ((rank(p, -1), rank(q, -1)) for p, q in edges)
+            low, high = 0, n - 1
+        for p, q in edges:
+            if p > q:
+                p, q = q, p
+            if low <= p < q <= high:
+                masks[p - low] |= 1 << q - low
+
+    def __getitem__(self, v: int) -> frozenset[int]:
+        if v not in self.order:
+            raise KeyError(v)
+        i = self.order.index(v)
+        lower = [u for u, mask in zip(self.order, self.masks[:i]) if mask >> i & 1]
+        return frozenset(compress(self.order, bit_flags(self.masks[i]))).union(lower)
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
 
 
 def _clique_cover_size(cand: int, nbr: list[int], limit: int) -> int:
@@ -85,8 +127,9 @@ def lexmin_maximum_independent_set(
     improvements are recorded, so the returned witness is the
     lexicographically smallest optimum (as a sorted label tuple).
 
-    Neighbour sets may list a vertex on one side only, or name labels
-    outside ``vertices``; edges are symmetrized and restricted to
+    Called as ``(masks, masks)`` with one :class:`NeighborMasks`, it reads
+    them as they are; any other mapping is turned into one, so neighbour
+    sets may list an edge on one side only, or name labels outside
     ``vertices``.
 
     Returns:
@@ -95,31 +138,11 @@ def lexmin_maximum_independent_set(
     Raises:
         BudgetError: more than max_nodes search nodes were explored.
     """
-    # nbr[i]: the neighbours of the rank-i vertex that rank above it, the
-    # only ones the search reads (it removes a vertex's neighbours from
-    # candidates at or after it). An edge listed on either side lands there.
-    order = sorted(set(vertices))
+    if not (vertices is neighbors and isinstance(neighbors, NeighborMasks)):
+        labels = set(vertices)
+        neighbors = NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
+    order, nbr = neighbors.order, neighbors.masks
     n = len(order)
-    nbr = [0] * n
-    if n and order[-1] - order[0] == n - 1:
-        # Contiguous labels, as in every graph on 1..n: a label's rank is
-        # its offset from the lowest label, so no rank table is needed.
-        low, high = order[0], order[-1]
-        for v in order:
-            for u in neighbors.get(v, ()):
-                if v < u <= high:
-                    nbr[v - low] |= 1 << u - low
-                elif low <= u < v:
-                    nbr[u - low] |= 1 << v - low
-    else:
-        rank = {v: i for i, v in enumerate(order)}
-        for i, v in enumerate(order):
-            for u in neighbors.get(v, ()):
-                j = rank.get(u, i)
-                if j > i:
-                    nbr[i] |= 1 << j
-                elif j < i:
-                    nbr[j] |= 1 << i
 
     best_size, best_set = 0, 0
     nodes = 0

@@ -51,7 +51,7 @@ from .core import (
     validate_mapping,
 )
 from .errors import BudgetError, ValidationError
-from .mis import adjacency, bit_flags, lexmin_maximum_independent_set
+from .mis import NeighborMasks, bit_flags, lexmin_maximum_independent_set
 from .solvers import SearchBudget, solve
 
 __all__ = [
@@ -148,7 +148,6 @@ class Graph:
             ValidationError: n or mask is not an int, n < 0, or mask is
                 outside 0..2^(n(n-1)/2) - 1.
         """
-        _check_vertex_count(n)
         universe = edge_universe(n)
         if type(mask) is not int or mask < 0 or mask >> len(universe):
             raise ValidationError(f"mask {mask} out of range for n={n}")
@@ -172,9 +171,19 @@ def _canonical_graph(n: int, edges: Iterable[Arc]) -> Graph:
     return _trusted(Graph, n=n, edges=frozenset(set(edges)))
 
 
-@functools.cache
 def edge_universe(n: int) -> tuple[Arc, ...]:
-    """All possible edges of an n-vertex graph in lexicographic order."""
+    """All possible edges of an n-vertex graph in lexicographic order.
+
+    Raises:
+        ValidationError: n is not an int, or n < 0. n is checked before the
+            cache is read, where True would find the entry of 1.
+    """
+    _check_vertex_count(n)
+    return _edge_universe(n)
+
+
+@functools.cache
+def _edge_universe(n: int) -> tuple[Arc, ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -186,7 +195,8 @@ class MaxIndependentSet(NamedTuple):
 def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
     """Exact maximum independent set of g by branch and bound.
 
-    The witness is the lexicographically smallest optimum.
+    The witness is the lexicographically smallest optimum. The engine's
+    neighbour bitmasks are built straight from ``g.edges``.
 
     Raises:
         BudgetError: g has more than max_vertices vertices.
@@ -195,8 +205,8 @@ def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
         raise BudgetError(
             f"graph with {g.n} vertices exceeds independent-set budget {max_vertices}"
         )
-    vertices = range(1, g.n + 1)
-    size, members, _ = lexmin_maximum_independent_set(vertices, adjacency(vertices, g.edges))
+    masks = NeighborMasks(range(1, g.n + 1), g.edges)
+    size, members, _ = lexmin_maximum_independent_set(masks, masks)
     return MaxIndependentSet(size, members)
 
 
@@ -491,8 +501,10 @@ class GraphOracles:
     or "II" for T2) and its threshold. So the memo keeps one reduced pair
     and constraint ``(a1, a2, mc)`` per (theorem, case), built through
     ``REDUCTIONS[theorem]``, and solves it once per case and search budget;
-    each k's threshold comes from k alone. A budget error is kept too, and
-    raised again for every row that needs the failed result.
+    each k's threshold comes from k alone. α and that optimum are also kept
+    as one pair per (theorem, case, search budget, α budget), so a further
+    row of a case reads both in one lookup. A budget error is kept like a
+    result, and raised again for every row that needs the failed result.
     """
 
     def __init__(self, g: Graph):
@@ -525,6 +537,19 @@ class GraphOracles:
             ("lapcs", theorem, case, budget),
             lambda: solve(*self.sequences(theorem, k), budget=budget).length,
         )
+
+    def _answers(
+        self, theorem: str, case: str | None, k: int, budget: SearchBudget | None,
+        mis_max_vertices: int,
+    ) -> tuple[int, int]:
+        """(α, the reduction's optimum) for k of the given case; α goes first."""
+        key = (theorem, case, budget, mis_max_vertices)
+        value = self._results.get(key) or self._memo(key, lambda: (
+            self.independence_number(mis_max_vertices), self.lapcs_length(theorem, k, budget)
+        ))
+        if type(value) is not tuple:
+            raise value.with_traceback(None)
+        return value
 
     def _memo(self, key: tuple, compute):
         try:
@@ -564,13 +589,12 @@ def check_equivalence(
         oracles = GraphOracles(g)
     elif oracles.graph is not g and oracles.graph != g:
         raise ValidationError("oracles were built for another graph")
-    _, threshold = _case_and_threshold(theorem, g.n, k)
+    case, threshold = _case_and_threshold(theorem, g.n, k)
     if graph_id is None:
         graph_id = default_graph_id(g)
     connected = oracles.connected
     try:
-        alpha = oracles.independence_number(mis_max_vertices)
-        lapcs_len = oracles.lapcs_length(theorem, k, search_budget)
+        alpha, lapcs_len = oracles._answers(theorem, case, k, search_budget, mis_max_vertices)
     except BudgetError as exc:
         return EquivalenceRow(
             graph_id=graph_id,

@@ -16,9 +16,10 @@ Three routes, all exact:
   It walks two flat neighbour slots per position, not a neighbour map, and
   takes isolated vertices and paths of 2 or 3 vertices without a walk.
 * :func:`exact_search` -- pruned exhaustive search, the universal
-  small-instance oracle. Its identity route alone reads the conflict graph
-  as a neighbour map (:func:`build_conflict_graph`). Both identity routes
-  take the candidates and conflict edges from :func:`_conflict_edges`.
+  small-instance oracle. Its identity route builds the engine's
+  neighbour bitmasks straight from the conflict edges; no solver reads
+  :func:`build_conflict_graph`'s neighbour map. Both identity routes take
+  the candidates and conflict edges from :func:`_conflict_edges`.
 
 :func:`solve` dispatches between them. Every solver returns the
 lexicographically smallest optimal witness (pair list sorted by S1 position,
@@ -33,7 +34,7 @@ from operator import eq
 
 from .core import AnnotatedSequence, Mapping, MatchConstraint, _require_int, _trusted
 from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
-from .mis import adjacency, lexmin_maximum_independent_set
+from .mis import NeighborMasks, adjacency, lexmin_maximum_independent_set
 
 __all__ = [
     "SearchBudget",
@@ -155,7 +156,9 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
     smallest pair that still completes an optimum. In each row only the
     first occurrence of the row's letter at or after the current S2 position
     can qualify (rows do not increase along S2), so recovery costs O(n + L)
-    row lookups for a witness of length L.
+    row lookups for a witness of length L. ``stats["table_cells"]`` is
+    (n+1)(m+1), the size of the suffix-LCS table the rows stand for: a
+    measure of the instance, not an allocation.
 
     Raises:
         WrongSolverError: an input is an AnnotatedSequence with arcs.
@@ -201,7 +204,8 @@ def build_conflict_graph(
         InstanceError: the sequences have different lengths.
     """
     _require_equal_lengths(a1, a2)
-    return _prefix_conflict_graph(a1, a2)
+    flags, arcs = _conflict_edges(a1, a2)
+    return adjacency(compress(count(), flags), arcs)
 
 
 def _require_equal_lengths(a1: AnnotatedSequence, a2: AnnotatedSequence) -> None:
@@ -221,14 +225,6 @@ def _conflict_edges(
     side. The conflict edges are the arcs whose two ends are candidates.
     """
     return bytes(1) + bytes(map(eq, a1.seq, a2.seq)), a1.arcs ^ a2.arcs
-
-
-def _prefix_conflict_graph(
-    a1: AnnotatedSequence, a2: AnnotatedSequence
-) -> dict[int, set[int]]:
-    """The conflict graph over the common prefix, as a neighbour map."""
-    flags, arcs = _conflict_edges(a1, a2)
-    return adjacency(compress(count(), flags), arcs)
 
 
 def _lexmin_path_mis(order: list[int]) -> list[int]:
@@ -413,12 +409,14 @@ def _identity_exact(
     """Identity-constrained exhaustive search as maximum independent set.
 
     Only the common prefix can be matched, so the conflict graph is built
-    over positions 1..min(len(a1), len(a2)). The bitset engine reads it as a
-    neighbour map; the budget caps this route at max_identity_length.
+    over positions 1..min(len(a1), len(a2)), straight from its edges into
+    the engine's neighbour bitmasks; the budget caps this route at
+    max_identity_length.
     """
-    adj = _prefix_conflict_graph(a1, a2)
+    flags, arcs = _conflict_edges(a1, a2)
+    graph = NeighborMasks(compress(count(), flags), arcs)
     size, members, nodes = lexmin_maximum_independent_set(
-        adj, adj, max_nodes=budget.max_nodes
+        graph, graph, max_nodes=budget.max_nodes
     )
     return SolveResult(
         length=size,
@@ -426,7 +424,7 @@ def _identity_exact(
         stats={
             "solver": "exact_search",
             "nodes": nodes,
-            "candidates": len(adj),
+            "candidates": len(graph),
         },
     )
 
@@ -444,7 +442,9 @@ def exact_search(
     because dropping arcs and constraints only relaxes the problem; each
     bound test reads it from the suffix-LCS rows as one masked popcount.
     Identity-forcing constraints take a specialized route (independent set
-    on the conflict structure) with identical results and tie-break.
+    on the conflict structure) with identical results and tie-break. The
+    pair search reports ``stats["table_cells"]`` = (n+1)(m+1), a size
+    measure of the instance and not an allocation: it builds no table.
 
     Raises:
         BudgetError: the instance exceeds the configured search budget.

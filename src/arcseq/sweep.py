@@ -59,7 +59,7 @@ class SweepConfig:
     int (not a bool). graph_source is "exhaustive" or "random"; random mode
     draws `random_count` graphs per vertex count and requires a seed. The
     vertex counts, random_count and the caps are ints too: a bool or a
-    float is rejected.
+    float is rejected, and mis_max_vertices may not be negative.
     """
 
     theorem: str
@@ -86,6 +86,8 @@ class SweepConfig:
         elif self.k_policy != "all":
             raise ValidationError("k_policy must be 'all' or a positive integer")
         _require_int(self.mis_max_vertices, "mis_max_vertices")
+        if self.mis_max_vertices < 0:
+            raise ValidationError("mis_max_vertices must be >= 0")
         if self.max_exhaustive_n is not None:
             _require_int(self.max_exhaustive_n, "max_exhaustive_n")
             if self.max_exhaustive_n < 1:
@@ -161,7 +163,8 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     k sets only the threshold. The solve is a second independent-set search
     when the degree <= 2 lane declines the pair and the identity route of
     exact_search runs instead (on T1, a graph with a vertex of degree 3 or
-    more), and each spot check below is one more.
+    more), and each spot check below is one more; each reads bitmasks built
+    straight from the edges. A further row of a solved case is one lookup.
 
     A row is spot-checked when its index is a multiple of ten, it is not
     skipped, and its pair fits the identity length budget: the exhaustive

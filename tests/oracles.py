@@ -129,13 +129,14 @@ def brute_lexmin_independent_set(vertices, edges) -> tuple[int, tuple[int, ...]]
 
 
 def conflict_graph_by_definition(a1: AnnotatedSequence, a2: AnnotatedSequence):
-    """Identity candidates of two equal-length sequences and their conflicts.
+    """Identity candidates of two sequences and their conflicts.
 
-    Candidates are the positions whose letters agree; two candidates p < q
-    conflict when (p, q) is an arc of exactly one sequence. Returns
-    (candidates, edges, neighbour sets keyed by candidate).
+    Candidates are the positions of the common prefix whose letters agree;
+    two candidates p < q conflict when (p, q) is an arc of exactly one
+    sequence. Returns (candidates, edges, neighbour sets keyed by candidate).
     """
-    cands = [p for p in range(1, len(a1) + 1) if a1.base(p) == a2.base(p)]
+    n = min(len(a1), len(a2))
+    cands = [p for p in range(1, n + 1) if a1.base(p) == a2.base(p)]
     edges = [
         pq for pq in itertools.combinations(cands, 2) if (pq in a1.arcs) != (pq in a2.arcs)
     ]
@@ -144,6 +145,24 @@ def conflict_graph_by_definition(a1: AnnotatedSequence, a2: AnnotatedSequence):
         neighbours[p].add(q)
         neighbours[q].add(p)
     return cands, edges, neighbours
+
+
+def rank_table_masks(vertices, neighbors) -> tuple[list[int], list[int]]:
+    """The independent-set engine's set-up before it took bitmasks: the
+    sorted labels and each one's upper-neighbour mask, read from neighbour
+    sets through a rank table. Self-loops and labels outside ``vertices``
+    are ignored."""
+    order = sorted(set(vertices))
+    rank = {v: i for i, v in enumerate(order)}
+    nbr = [0] * len(order)
+    for i, v in enumerate(order):
+        for u in neighbors.get(v, ()):
+            j = rank.get(u, i)
+            if j > i:
+                nbr[i] |= 1 << j
+            elif j < i:
+                nbr[j] |= 1 << i
+    return order, nbr
 
 
 def brute_min_vertex_cover(vertices, edges) -> int:

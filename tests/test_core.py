@@ -162,6 +162,12 @@ class TestMapping:
         with pytest.raises(ValidationError, match="non-integer position"):
             Mapping((pair,))
 
+    def test_positions_are_checked_before_they_are_sorted(self):
+        # Sorting "1" against 2 would raise TypeError.
+        for pairs in ((("1", 1), (2, 2)), ((1, 1), (2, "2")), ((None, 1), (2, 2))):
+            with pytest.raises(ValidationError, match="non-integer position"):
+                Mapping(pairs)
+
     def test_identity_constructor(self):
         m = Mapping.identity([3, 1])
         assert m.pairs == ((1, 1), (3, 3))

@@ -6,18 +6,37 @@ import pytest
 
 from arcseq import BudgetError
 from arcseq.generate import exhaustive_graphs
-from arcseq.mis import adjacency, lexmin_maximum_independent_set
+from arcseq.mis import NeighborMasks, adjacency, lexmin_maximum_independent_set
 
-from oracles import brute_lexmin_independent_set
+from oracles import brute_lexmin_independent_set, rank_table_masks
+
+
+def _same_search(vertices, neighbors, masks):
+    """The mask path and the neighbour-set path give the same size, witness
+    and node count, and the same BudgetError one node short of that count."""
+    by_masks = lexmin_maximum_independent_set(masks, masks)
+    assert lexmin_maximum_independent_set(vertices, neighbors) == by_masks
+    nodes = by_masks[2]
+    errors = []
+    for args in ((masks, masks), (vertices, neighbors)):
+        with pytest.raises(BudgetError) as info:
+            lexmin_maximum_independent_set(*args, max_nodes=nodes - 1)
+        errors.append(str(info.value))
+    assert errors == [f"independent-set search exceeded {nodes - 1} nodes"] * 2
+    return by_masks
 
 
 def test_every_labelled_graph_up_to_n5():
+    # The masks built from the edges, and the neighbour sets built from them,
+    # give one graph and one search.
     for n in range(6):
         vertices = range(1, n + 1)
         for _, g in exhaustive_graphs(n):
-            size, witness, _ = lexmin_maximum_independent_set(
-                vertices, adjacency(vertices, g.edges)
-            )
+            adj = adjacency(vertices, g.edges)
+            masks = NeighborMasks(vertices, g.edges)
+            assert dict(masks) == adj
+            assert (list(masks.order), masks.masks) == rank_table_masks(vertices, adj)
+            size, witness, _ = _same_search(vertices, adj, masks)
             assert (size, witness) == brute_lexmin_independent_set(vertices, g.edges)
 
 
@@ -91,3 +110,41 @@ def test_contiguous_and_general_setup_against_the_oracle(labels, style):
         size, witness, _ = lexmin_maximum_independent_set(vertices, neighbors)
         assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
 
+
+
+def test_masks_and_neighbour_sets_agree_on_seeded_sparse_labels():
+    # Up to 20 labels, gapped or contiguous, each edge listed under one
+    # endpoint only, plus loops and neighbours outside the vertex set.
+    rng = random.Random(20112)
+    for _ in range(200):
+        n = rng.randint(0, 20)
+        start = rng.randint(-5, 5)
+        vertices = rng.choice([rng.sample(range(-30, 70), n), list(range(start, start + n))])
+        p = rng.choice((0.15, 0.35, 0.6))
+        edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < p]
+        neighbors = {}
+        listed = []
+        for u, v in edges:
+            a, b = (u, v) if rng.random() < 0.5 else (v, u)
+            neighbors.setdefault(a, set()).add(b)
+            listed.append((a, b))
+        for v in vertices[: n // 3]:
+            neighbors.setdefault(v, set()).update({v, 1000 + v, -1000})
+            listed += [(v, v), (v, 1000 + v), (-1000, v)]
+        masks = NeighborMasks(vertices, listed)
+        assert dict(masks) == adjacency(vertices, edges)
+        assert (list(masks.order), masks.masks) == rank_table_masks(vertices, neighbors)
+        size, witness, _ = _same_search(vertices, neighbors, masks)
+        if n <= 12:
+            assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
+
+
+def test_neighbor_masks_is_a_read_only_mapping_of_full_neighbour_sets():
+    masks = NeighborMasks([7, 3, 5, 3], [(5, 3), (3, 7), (9, 3), (5, 5)])
+    assert list(masks) == [3, 5, 7] and len(masks) == 3
+    assert masks.masks == [0b110, 0, 0]
+    assert masks[7] == {3} and masks[3] == {5, 7}
+    assert masks.get(9, ()) == () and 4 not in masks
+    with pytest.raises(KeyError):
+        masks[9]
+    assert dict(NeighborMasks((), [(1, 2)])) == {}

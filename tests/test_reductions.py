@@ -105,6 +105,20 @@ class TestGraph:
             with pytest.raises(ValidationError, match="out of range"):
                 Graph.from_mask(3, mask)
 
+    def test_edge_universe_and_enumeration_take_integer_counts_only(self):
+        assert edge_universe(1) == () and edge_universe(2) == ((1, 2),)
+        # True == 1, so a cache read before the check would return ().
+        for n in (2.5, True, False, "3", None, 2.0, [3]):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                edge_universe(n)
+            with pytest.raises(ValidationError, match="must be an integer"):
+                next(exhaustive_graphs(n))
+        for n in (-1, -3):
+            with pytest.raises(ValidationError, match="non-negative"):
+                edge_universe(n)
+            with pytest.raises(ValidationError, match="non-negative"):
+                next(exhaustive_graphs(n))
+
     def test_connectivity(self):
         assert TRIANGLE.is_connected()
         assert not Graph(3, {(1, 2)}).is_connected()
@@ -515,6 +529,49 @@ class TestCheckEquivalence:
             oracles.lapcs_length("T1", 1, budget)
             oracles.lapcs_length("T1", 2, budget)
         assert solves == [SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None]
+
+    def test_a_warm_row_is_one_lookup(self, monkeypatch):
+        # Once a case has a row, a further row of that case works out its
+        # case and threshold once and reads alpha and the optimum together,
+        # without the per-result memo.
+        calls = []
+        real_case, real_memo = reductions._case_and_threshold, GraphOracles._memo
+
+        def counting_case(*args):
+            calls.append("case")
+            return real_case(*args)
+
+        def counting_memo(self, *args):
+            calls.append("memo")
+            return real_memo(self, *args)
+
+        monkeypatch.setattr(reductions, "_case_and_threshold", counting_case)
+        monkeypatch.setattr(GraphOracles, "_memo", counting_memo)
+        oracles = GraphOracles(TRIANGLE)
+        first = check_equivalence(TRIANGLE, 1, "T2", oracles=oracles)
+        assert calls.count("memo") >= 3
+        calls.clear()
+        rows = [check_equivalence(TRIANGLE, k, "T2", oracles=oracles) for k in (2, 3, 1)]
+        assert calls == ["case"] * 3
+        assert [first, *rows[:2]] == [check_equivalence(TRIANGLE, k, "T2") for k in (1, 2, 3)]
+
+    def test_budget_errors_are_kept_per_case_and_alpha_fails_first(self):
+        k4 = Graph(4, combinations(range(1, 5), 2))
+        solve_budget = SearchBudget(max_identity_length=3)
+        # The T1 pair of K4 has conflict degree 3, so it goes to the identity
+        # route, which the budget refuses; alpha alone fits. The oracles are
+        # shared, so the two alpha budgets must not share an entry.
+        oracles = GraphOracles(k4)
+        for mis_max_vertices, reason in (
+            (20, "identity-constrained instance of length 4 exceeds budget 3"),
+            (3, "graph with 4 vertices exceeds independent-set budget 3"),
+            (20, "identity-constrained instance of length 4 exceeds budget 3"),
+        ):
+            kwargs = {"search_budget": solve_budget, "mis_max_vertices": mis_max_vertices}
+            for k in (1, 2, 3, 4, 1):
+                row = check_equivalence(k4, k, "T1", oracles=oracles, **kwargs)
+                assert row == check_equivalence(k4, k, "T1", **kwargs)
+                assert row.skip_reason == reason
 
     def test_theorem_name_validated(self):
         with pytest.raises(ValidationError):

@@ -458,6 +458,33 @@ class TestExactSearch:
         assert r.length == 600
         assert r.witness.pairs == tuple((p, p) for p in range(1, length, 2))
 
+    def test_identity_route_against_the_oracles_off_the_common_prefix(self):
+        # Unequal lengths, positions whose letters differ, and arcs that end
+        # past the common prefix: the route reads the conflict edges as
+        # bitmasks, and must find the oracles' lexmin optimum.
+        rng = random.Random(44)
+        shapes = {"unequal": 0, "non-candidate": 0, "past the prefix": 0}
+        for _ in range(300):
+            n1, n2 = rng.randint(0, 11), rng.randint(0, 11)
+            a1, a2 = (
+                AnnotatedSequence(
+                    "".join(rng.choice("aab") for _ in range(n)),
+                    random_arcs(rng, n, StructureLevel.UNLIMITED, rng.uniform(0.3, 1.5)),
+                )
+                for n in (n1, n2)
+            )
+            common = min(n1, n2)
+            shapes["unequal"] += n1 != n2
+            shapes["non-candidate"] += a1.seq[:common] != a2.seq[:common]
+            shapes["past the prefix"] += any(q > common for _, q in a1.arcs | a2.arcs)
+            cands, edges, _ = conflict_graph_by_definition(a1, a2)
+            size, members = brute_lexmin_independent_set(cands, edges)
+            r = exact_search(a1, a2, FRAG1, SearchBudget(max_identity_length=11))
+            assert (r.length, r.witness) == (size, Mapping.identity(members))
+            assert r.length == brute_identity_lapcs(a1, a2)
+            assert r.stats["candidates"] == len(cands)
+        assert min(shapes.values()) >= 100
+
     def test_pair_search_deeper_than_the_recursion_limit(self):
         length = 1200
         a = AnnotatedSequence("a" * length, {(p, p + 1) for p in range(1, length, 4)})

@@ -305,9 +305,10 @@ def test_invalid_configs_rejected():
                 seed=1,
             )
     for field_name in ("mis_max_vertices", "max_exhaustive_n"):
-        for value in (20.0, True, "20"):
+        for value in (20.0, True, "20", -1):
             with pytest.raises(ValidationError, match=field_name):
                 SweepConfig("T1", (1, 2), **{field_name: value})
+    assert SweepConfig("T1", (1, 2), mis_max_vertices=0).mis_max_vertices == 0
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(ValidationError, match="edge_probability"):
             SweepConfig(
