@@ -25,9 +25,11 @@ The construction's backward direction is treated as an empirical question:
 with exact oracles on both sides, and reports disagreements rather than
 assuming them away, one :class:`EquivalenceRow` per pair. Both
 constructions depend on k only through the threshold (and, for the
-two-letter one, through its case), so a :class:`GraphOracles` shared by the
-rows of one graph keeps one reduced pair per (graph, case) and solves it
-once; k sets only the threshold.
+two-letter one, through its case). So the rows of one graph share a
+:class:`GraphOracles`, bound to one theorem and one pair of budgets, that
+holds one entry per case: the reduced instance, α and the solver's result
+(a :class:`CaseAnswer`), or the budget error that stopped them. k sets
+only the threshold.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .core import (
 )
 from .errors import BudgetError, ValidationError
 from .mis import NeighborMasks, bit_flags, lexmin_maximum_independent_set
-from .solvers import SearchBudget, solve
+from .solvers import SearchBudget, SolveResult, solve
 
 __all__ = [
     "Graph",
@@ -492,77 +494,61 @@ def default_graph_id(g: Graph) -> str:
 REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 
 
-class GraphOracles:
-    """One graph's oracle results, each computed once and kept for every k.
+class CaseAnswer(NamedTuple):
+    """A case's answers: its reduced instance, kept whole, α of the graph,
+    and the solver's result on the instance."""
 
-    Connectivity and the maximum independent set do not depend on k;
-    connectivity is computed on construction and kept in ``connected``. A
+    instance: ReductionInstance
+    alpha: int
+    result: SolveResult
+
+
+# Marks α as not computed yet: α is 0 for Graph(0), so no falsy value will do.
+_ALPHA_PENDING = object()
+
+
+class GraphOracles:
+    """One graph's oracle results for one theorem and one pair of budgets.
+
+    Connectivity is computed on construction and kept in ``connected``. A
     reduced instance depends on k only through its case (None for T1, "I"
-    or "II" for T2) and its threshold. So the memo keeps one reduced pair
-    and constraint ``(a1, a2, mc)`` per (theorem, case), built through
-    ``REDUCTIONS[theorem]``, and solves it once per case and search budget;
-    each k's threshold comes from k alone. α and that optimum are also kept
-    as one pair per (theorem, case, search budget, α budget), so a further
-    row of a case reads both in one lookup. A budget error is kept like a
-    result, and raised again for every row that needs the failed result.
+    or "II" for T2) and its threshold, so ``cases`` holds one entry per
+    case: a :class:`CaseAnswer` or the :class:`BudgetError` that stopped
+    it. An entry is filled on its case's first row: α, the same for every
+    case, is computed first and once; then the instance is built through
+    ``REDUCTIONS[theorem]`` and solved within ``search_budget``.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(
+        self, g: Graph, theorem: str, search_budget: SearchBudget | None = None,
+        mis_max_vertices: int = 20,
+    ):
         self.graph = g
+        self.theorem = theorem
+        self.search_budget = search_budget
+        self.mis_max_vertices = mis_max_vertices
         self.connected = g.is_connected()
-        self._results: dict[tuple, object] = {}
+        self.cases: dict[str | None, CaseAnswer | BudgetError] = {}
+        self._alpha = _ALPHA_PENDING
 
-    def sequences(
-        self, theorem: str, k: int
-    ) -> tuple[AnnotatedSequence, AnnotatedSequence, MatchConstraint]:
-        """The reduced pair and constraint for k, shared by every k of its case."""
-        case, _ = _case_and_threshold(theorem, self.graph.n, k)
-
-        def build() -> tuple[AnnotatedSequence, AnnotatedSequence, MatchConstraint]:
-            inst = REDUCTIONS[theorem](self.graph, k)
-            return inst.a1, inst.a2, inst.mc
-
-        return self._memo(("reduce", theorem, case), build)
-
-    def independence_number(self, max_vertices: int) -> int:
-        return self._memo(
-            ("alpha", max_vertices),
-            lambda: max_independent_set(self.graph, max_vertices=max_vertices).size,
-        )
-
-    def lapcs_length(self, theorem: str, k: int, budget: SearchBudget | None) -> int:
-        """Optimum of the reduction for k, the same for every k of its case."""
-        case, _ = _case_and_threshold(theorem, self.graph.n, k)
-        return self._memo(
-            ("lapcs", theorem, case, budget),
-            lambda: solve(*self.sequences(theorem, k), budget=budget).length,
-        )
-
-    def _answers(
-        self, theorem: str, case: str | None, k: int, budget: SearchBudget | None,
-        mis_max_vertices: int,
-    ) -> tuple[int, int]:
-        """(α, the reduction's optimum) for k of the given case; α goes first."""
-        key = (theorem, case, budget, mis_max_vertices)
-        value = self._results.get(key) or self._memo(key, lambda: (
-            self.independence_number(mis_max_vertices), self.lapcs_length(theorem, k, budget)
-        ))
-        if type(value) is not tuple:
-            raise value.with_traceback(None)
-        return value
-
-    def _memo(self, key: tuple, compute):
-        try:
-            value = self._results[key]
-        except KeyError:
+    def fill(self, case: str | None, k: int) -> CaseAnswer | BudgetError:
+        """Compute and keep the entry of k's case, which the caller names."""
+        if self._alpha is _ALPHA_PENDING:
             try:
-                value = compute()
-            except BudgetError as exc:
-                value = exc
-            self._results[key] = value
-        if isinstance(value, BudgetError):
-            raise value.with_traceback(None)
-        return value
+                mis = max_independent_set(self.graph, max_vertices=self.mis_max_vertices)
+                self._alpha = mis.size
+            except BudgetError as err:
+                self._alpha = err.with_traceback(None)
+        entry = self._alpha
+        if not isinstance(entry, BudgetError):
+            inst = REDUCTIONS[self.theorem](self.graph, k)
+            try:
+                result = solve(inst.a1, inst.a2, inst.mc, budget=self.search_budget)
+                entry = CaseAnswer(inst, entry, result)
+            except BudgetError as err:
+                entry = err.with_traceback(None)
+        self.cases[case] = entry
+        return entry
 
 
 def check_equivalence(
@@ -577,45 +563,42 @@ def check_equivalence(
     """Measure both directions of a reduction's claimed equivalence.
 
     Computes max-IS >= k with the graph oracle and LAPCS >= threshold with
-    the sequence oracle, then records whether each implies the other.
-    Budget errors on either side give a skipped row, whose skip_reason is
-    the error text, instead of failing; either way the row is built once.
-    Rows of the same graph may share one :class:`GraphOracles`, built for
-    that graph, so that each oracle result is computed once.
+    the sequence oracle, then records whether each implies the other. The
+    answers come from the entry of k's case in a :class:`GraphOracles`:
+    ``oracles`` when given, which must have been built for this graph,
+    theorem and pair of budgets, so that the rows of one graph compute
+    each answer once; otherwise a new one. An entry that holds a budget
+    error gives a skipped row, whose skip_reason is the error text.
+
+    Raises:
+        ValidationError: theorem is not "T1" or "T2", k is not an int >= 1,
+            or oracles were built for another graph, theorem or budgets.
     """
     if theorem not in REDUCTIONS:
         raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
-    if oracles is None:
-        oracles = GraphOracles(g)
-    elif oracles.graph is not g and oracles.graph != g:
-        raise ValidationError("oracles were built for another graph")
     case, threshold = _case_and_threshold(theorem, g.n, k)
+    if oracles is None:
+        oracles = GraphOracles(g, theorem, search_budget, mis_max_vertices)
+    elif (oracles.graph, oracles.theorem, oracles.search_budget, oracles.mis_max_vertices) != (
+        g, theorem, search_budget, mis_max_vertices
+    ):
+        raise ValidationError("oracles were built for another graph, theorem or budgets")
     if graph_id is None:
         graph_id = default_graph_id(g)
-    connected = oracles.connected
-    try:
-        alpha, lapcs_len = oracles._answers(theorem, case, k, search_budget, mis_max_vertices)
-    except BudgetError as exc:
+    entry = oracles.cases.get(case) or oracles.fill(case, k)
+    # Rows are built positionally, in field order: a NamedTuple binds
+    # keywords far slower.
+    if isinstance(entry, BudgetError):
         return EquivalenceRow(
-            graph_id=graph_id,
-            n=g.n,
-            m=g.m,
-            connected=connected,
-            k=k,
-            is_answer=None,
-            lapcs_len=None,
-            threshold=threshold,
-            lapcs_answer=None,
-            forward_ok=None,
-            backward_ok=None,
-            skip_reason=str(exc),
+            graph_id, g.n, g.m, oracles.connected, k, None, None, threshold, None, None, None,
+            str(entry),
         )
-    is_answer = alpha >= k
+    lapcs_len = entry.result.length
+    is_answer = entry.alpha >= k
     lapcs_answer = lapcs_len >= threshold
     forward_ok = (not is_answer) or lapcs_answer
     backward_ok = (not lapcs_answer) or is_answer
-    # Positional, in field order: a NamedTuple binds keywords far slower.
     return EquivalenceRow(
-        graph_id, g.n, g.m, connected, k, is_answer, lapcs_len, threshold,
+        graph_id, g.n, g.m, oracles.connected, k, is_answer, lapcs_len, threshold,
         lapcs_answer, forward_ok, backward_ok,
     )

@@ -80,14 +80,6 @@ class SearchBudget:
             )
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValidationError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        # Hashed once: a budget is part of every sweep row's memo key, and the
-        # generated __hash__ builds and hashes the field tuple on each call.
-        object.__setattr__(
-            self, "_hash", hash((self.max_cells, self.max_identity_length, self.max_nodes))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 DEFAULT_BUDGET = SearchBudget()

@@ -29,6 +29,7 @@ from .reductions import (
     GraphOracles,
     REDUCTIONS,
     ROW_FIELDS,
+    _case_and_threshold,
     check_equivalence,
 )
 from .solvers import SearchBudget, exact_search
@@ -157,18 +158,20 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     """Execute the sweep, spot-check rows, and write the configured outputs.
 
     Each graph is evaluated once for all its k: its rows share one
-    :class:`arcseq.reductions.GraphOracles`, so connectivity and the
+    :class:`arcseq.reductions.GraphOracles`, bound to the sweep's theorem
+    and budgets, which holds one entry per case. Connectivity and the
     independence number (one independent-set search) are computed once per
-    graph, and the reduced pair is built and solved once per (graph, case);
-    k sets only the threshold. The solve is a second independent-set search
-    when the degree <= 2 lane declines the pair and the identity route of
-    exact_search runs instead (on T1, a graph with a vertex of degree 3 or
-    more), and each spot check below is one more; each reads bitmasks built
-    straight from the edges. A further row of a solved case is one lookup.
+    graph, and the reduced instance is built and solved once per (graph,
+    case); k sets only the threshold. The solve is a second independent-set
+    search when the degree <= 2 lane declines the pair and the identity
+    route of exact_search runs instead (on T1, a graph with a vertex of
+    degree 3 or more), and each spot check below is one more; each reads
+    bitmasks built straight from the edges. A further row of a solved case
+    is one lookup.
 
     A row is spot-checked when its index is a multiple of ten, it is not
     skipped, and its pair fits the identity length budget: the exhaustive
-    solver recomputes it on the pair the oracles built for its case, and a
+    solver recomputes it on the instance kept in its case's entry, and a
     disagreement aborts the run. A skipped row is not replaced by a later
     one, so skips lower the sample. Skipped rows stay in the report and
     the summary.
@@ -176,7 +179,7 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     rows: list[EquivalenceRow] = []
     spot = {"sampled": 0, "verified": 0, "budget_skipped": 0}
     for gid, g in _iter_graphs(cfg):
-        oracles = GraphOracles(g)
+        oracles = GraphOracles(g, cfg.theorem, cfg.search_budget, cfg.mis_max_vertices)
         for k in _ks(cfg, g.n):
             row = check_equivalence(
                 g,
@@ -188,11 +191,11 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
                 oracles=oracles,
             )
             if len(rows) % SPOT_CHECK_STRIDE == 0 and not row.skipped:
-                a1, a2, mc = oracles.sequences(cfg.theorem, k)
-                if len(a1) <= cfg.search_budget.max_identity_length:
+                inst = oracles.cases[_case_and_threshold(cfg.theorem, g.n, k)[0]].instance
+                if len(inst.a1) <= cfg.search_budget.max_identity_length:
                     spot["sampled"] += 1
                     try:
-                        redo = exact_search(a1, a2, mc, cfg.search_budget)
+                        redo = exact_search(inst.a1, inst.a2, inst.mc, cfg.search_budget)
                     except BudgetError:
                         spot["budget_skipped"] += 1
                     else:

@@ -48,6 +48,16 @@ PATH3 = Graph(3, {(1, 2), (2, 3)})
 SINGLE_EDGE = Graph(2, {(1, 2)})
 
 
+def recording(calls, name, fn):
+    """fn, appending name to calls on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def small_and_seeded_masks():
     """(n, mask) for every graph with n <= 5, then seeded masks up to n = 20."""
     rng = random.Random(1101)
@@ -381,8 +391,10 @@ def test_non_integer_k_is_rejected(k):
     for theorem in REDUCTIONS:
         with pytest.raises(ValidationError, match="must be an integer"):
             check_equivalence(TRIANGLE, k, theorem)
+        oracles = GraphOracles(TRIANGLE, theorem)
         with pytest.raises(ValidationError, match="must be an integer"):
-            GraphOracles(TRIANGLE).sequences(theorem, k)
+            check_equivalence(TRIANGLE, k, theorem, oracles=oracles)
+        assert oracles.cases == {}
 
 
 class TestExtractIndependentSet:
@@ -476,41 +488,75 @@ class TestCheckEquivalence:
 
     def test_shared_oracles_give_the_same_rows(self):
         # k = 1..n+1 crosses the T2 case I/II boundary; the first k seen
-        # builds a case's instance, so each order warms the memo differently.
+        # builds a case's entry, so each order fills the entries differently.
+        # Graph(0) has alpha 0; under max_nodes=1 alpha succeeds and the
+        # solve fails wherever the pair reaches the search.
         rng = random.Random(7)
+        reasons = set()
+        budgets = ({}, {"mis_max_vertices": 2}, {"search_budget": SearchBudget(max_nodes=1)})
         for theorem in ("T1", "T2"):
-            for budget in ({}, {"mis_max_vertices": 2}):
-                for n in range(1, 5):
+            for budget in budgets:
+                for n in range(0, 5):
                     for _, g in exhaustive_graphs(n):
                         ks = list(range(1, n + 2))
                         shuffled = rng.sample(ks, len(ks))
                         fresh = {k: check_equivalence(g, k, theorem, **budget) for k in ks}
                         for order in (ks, ks[::-1], shuffled):
-                            oracles = GraphOracles(g)
+                            oracles = GraphOracles(g, theorem, **budget)
                             for k in order:
                                 row = check_equivalence(g, k, theorem, oracles=oracles, **budget)
                                 assert row == fresh[k]
+                                case, _ = reductions._case_and_threshold(theorem, g.n, k)
+                                entry = oracles.cases[case]
+                                if row.skipped:
+                                    assert isinstance(entry, BudgetError)
+                                    assert str(entry) == row.skip_reason
+                                    reasons.add(row.skip_reason.split()[0])
+                                    continue
                                 inst = REDUCTIONS[theorem](g, k)
-                                assert oracles.sequences(theorem, k) == (inst.a1, inst.a2, inst.mc)
+                                kept = entry.instance
+                                assert (kept.a1, kept.a2, kept.mc) == (inst.a1, inst.a2, inst.mc)
+                                assert kept.provenance.case == case
+                                assert entry.alpha == max_independent_set(g).size
+                                assert entry.result.length == row.lapcs_len
                             with pytest.raises(ValidationError):
                                 check_equivalence(g, 0, theorem, oracles=oracles, **budget)
-                            with pytest.raises(ValidationError):
-                                oracles.sequences(theorem, 0)
+        # Both kinds of skip: alpha over its budget, and a solve over its
+        # node budget after alpha succeeded.
+        assert reasons == {"graph", "independent-set"}
 
     def test_oracles_of_another_graph_rejected(self):
         with pytest.raises(ValidationError, match="another graph"):
-            check_equivalence(TRIANGLE, 1, "T1", oracles=GraphOracles(PATH3))
+            check_equivalence(TRIANGLE, 1, "T1", oracles=GraphOracles(PATH3, "T1"))
+        # Oracles are bound to one theorem and one pair of budgets too.
+        budget = SearchBudget(max_nodes=9)
+        oracles = GraphOracles(TRIANGLE, "T1", budget, 5)
+        assert check_equivalence(
+            TRIANGLE, 1, "T1", search_budget=budget, mis_max_vertices=5, oracles=oracles
+        ) == check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, mis_max_vertices=5)
+        for other in (
+            {"theorem": "T2", "search_budget": budget, "mis_max_vertices": 5},
+            {"theorem": "T1", "search_budget": SearchBudget(max_nodes=10), "mis_max_vertices": 5},
+            {"theorem": "T1", "search_budget": None, "mis_max_vertices": 5},
+            {"theorem": "T1", "search_budget": budget, "mis_max_vertices": 6},
+            {"theorem": "T1"},
+        ):
+            with pytest.raises(ValidationError, match="theorem or budgets"):
+                check_equivalence(TRIANGLE, 1, oracles=oracles, **other)
 
     def test_oracles_of_an_equal_graph_accepted(self):
-        # The guard tries identity first; an equal graph built apart passes.
+        # The guard tries identity first; an equal graph, or an equal budget,
+        # built apart passes.
         twin = Graph(3, [(2, 3), (1, 3), (1, 2)])
         assert twin is not TRIANGLE and twin == TRIANGLE
-        oracles = GraphOracles(TRIANGLE)
+        oracles = GraphOracles(TRIANGLE, "T1", SearchBudget())
         for k in (1, 2):
-            row = check_equivalence(twin, k, "T1", oracles=oracles)
+            row = check_equivalence(twin, k, "T1", search_budget=SearchBudget(400, 64),
+                                    oracles=oracles)
             assert row == check_equivalence(TRIANGLE, k, "T1")
         with pytest.raises(ValidationError, match="another graph"):
-            check_equivalence(Graph(3, [(1, 2), (1, 3)]), 1, "T1", oracles=oracles)
+            check_equivalence(Graph(3, [(1, 2), (1, 3)]), 1, "T1", search_budget=SearchBudget(),
+                              oracles=oracles)
 
     def test_equal_budgets_share_one_memo_entry(self, monkeypatch):
         solves = []
@@ -520,58 +566,81 @@ class TestCheckEquivalence:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(reductions, "solve", counting_solve)
-        oracles = GraphOracles(TRIANGLE)
-        # k = 1 and 2 are one T1 case, so only the budget tells entries apart.
+        oracles = GraphOracles(TRIANGLE, "T1", SearchBudget())
+        # k = 1 and 2 are one T1 case, so the rows share one entry, and equal
+        # budgets built apart use the same oracles.
         for k, budget in ((1, SearchBudget()), (2, SearchBudget()), (1, SearchBudget(400, 64))):
-            assert oracles.lapcs_length("T1", k, budget) == 1
+            row = check_equivalence(TRIANGLE, k, "T1", search_budget=budget, oracles=oracles)
+            assert row.lapcs_len == 1
         assert solves == [SearchBudget()]
         for budget in (SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None):
-            oracles.lapcs_length("T1", 1, budget)
-            oracles.lapcs_length("T1", 2, budget)
-        assert solves == [SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None]
+            with pytest.raises(ValidationError, match="budgets"):
+                check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, oracles=oracles)
+            own = GraphOracles(TRIANGLE, "T1", budget)
+            check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, oracles=own)
+            check_equivalence(TRIANGLE, 2, "T1", search_budget=budget, oracles=own)
+        assert solves == [
+            SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None
+        ]
 
     def test_a_warm_row_is_one_lookup(self, monkeypatch):
         # Once a case has a row, a further row of that case works out its
-        # case and threshold once and reads alpha and the optimum together,
-        # without the per-result memo.
+        # case and threshold once and reads its entry, with no alpha, reduce
+        # or solve call.
         calls = []
-        real_case, real_memo = reductions._case_and_threshold, GraphOracles._memo
-
-        def counting_case(*args):
-            calls.append("case")
-            return real_case(*args)
-
-        def counting_memo(self, *args):
-            calls.append("memo")
-            return real_memo(self, *args)
-
-        monkeypatch.setattr(reductions, "_case_and_threshold", counting_case)
-        monkeypatch.setattr(GraphOracles, "_memo", counting_memo)
-        oracles = GraphOracles(TRIANGLE)
+        for name, attr in (("case", "_case_and_threshold"), ("mis", "max_independent_set"),
+                           ("solve", "solve")):
+            monkeypatch.setattr(reductions, attr, recording(calls, name, getattr(reductions, attr)))
+        monkeypatch.setitem(REDUCTIONS, "T2", recording(calls, "reduce", REDUCTIONS["T2"]))
+        monkeypatch.setattr(GraphOracles, "fill", recording(calls, "fill", GraphOracles.fill))
+        oracles = GraphOracles(TRIANGLE, "T2")
         first = check_equivalence(TRIANGLE, 1, "T2", oracles=oracles)
-        assert calls.count("memo") >= 3
+        assert calls == ["case", "fill", "mis", "reduce", "case", "solve"]
         calls.clear()
         rows = [check_equivalence(TRIANGLE, k, "T2", oracles=oracles) for k in (2, 3, 1)]
         assert calls == ["case"] * 3
+        monkeypatch.undo()
         assert [first, *rows[:2]] == [check_equivalence(TRIANGLE, k, "T2") for k in (1, 2, 3)]
 
-    def test_budget_errors_are_kept_per_case_and_alpha_fails_first(self):
+    def test_budget_errors_are_kept_per_case_and_alpha_fails_first(self, monkeypatch):
         k4 = Graph(4, combinations(range(1, 5), 2))
         solve_budget = SearchBudget(max_identity_length=3)
+        calls = []
         # The T1 pair of K4 has conflict degree 3, so it goes to the identity
-        # route, which the budget refuses; alpha alone fits. The oracles are
-        # shared, so the two alpha budgets must not share an entry.
-        oracles = GraphOracles(k4)
-        for mis_max_vertices, reason in (
-            (20, "identity-constrained instance of length 4 exceeds budget 3"),
-            (3, "graph with 4 vertices exceeds independent-set budget 3"),
-            (20, "identity-constrained instance of length 4 exceeds budget 3"),
+        # route, which the budget refuses; alpha alone fits. Oracles are
+        # bound to their alpha budget, so each budget has its own, and each
+        # computes alpha and tries the solve once.
+        shared = {mis: GraphOracles(k4, "T1", solve_budget, mis) for mis in (20, 3)}
+        for mis_max_vertices, reason, expected in (
+            (20, "identity-constrained instance of length 4 exceeds budget 3", ["mis", "solve"]),
+            (3, "graph with 4 vertices exceeds independent-set budget 3", ["mis"]),
+            (20, "identity-constrained instance of length 4 exceeds budget 3", []),
         ):
             kwargs = {"search_budget": solve_budget, "mis_max_vertices": mis_max_vertices}
-            for k in (1, 2, 3, 4, 1):
-                row = check_equivalence(k4, k, "T1", oracles=oracles, **kwargs)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(reductions, "max_independent_set",
+                          recording(calls, "mis", reductions.max_independent_set))
+                m.setattr(reductions, "solve", recording(calls, "solve", reductions.solve))
+                rows = [check_equivalence(k4, k, "T1", oracles=shared[mis_max_vertices], **kwargs)
+                        for k in (1, 2, 3, 4, 1)]
+            assert calls == expected
+            for k, row in zip((1, 2, 3, 4, 1), rows):
                 assert row == check_equivalence(k4, k, "T1", **kwargs)
                 assert row.skip_reason == reason
+        # An alpha error is kept for every case: T2's cases I and II both
+        # read the one failed search.
+        oracles = GraphOracles(k4, "T2", solve_budget, 3)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(reductions, "max_independent_set",
+                      recording(calls, "mis", reductions.max_independent_set))
+            for k in (5, 1, 5, 2):
+                row = check_equivalence(k4, k, "T2", search_budget=solve_budget,
+                                        mis_max_vertices=3, oracles=oracles)
+                assert row.skip_reason == "graph with 4 vertices exceeds independent-set budget 3"
+        assert calls == ["mis"]
+        assert oracles.cases["I"] is oracles.cases["II"]
 
     def test_theorem_name_validated(self):
         with pytest.raises(ValidationError):

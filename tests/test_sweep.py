@@ -45,6 +45,43 @@ def test_exhaustive_outputs_match_pinned_bytes(tmp_path, theorem, n_max):
     assert digests == PINNED_DIGESTS[(theorem, n_max)]
 
 
+# sha256 of the CSV and the summary JSON of sweeps that skip rows (under a
+# node budget; under an independent-set budget) or reach only T2's case I,
+# captured before the per-graph oracles kept one entry per case.
+SKIP_PINS = {
+    ("T1", 5, "all", "max_nodes=3"): (
+        {"search_budget": SearchBudget(max_nodes=3)}, 5405, 3938,
+        "690824824010b67fb2cb8f982a6ab209e9a0d8d5e0c72ccb892a5d18c9cb7f0c",
+        "81fde94330b4b3a4485987f9c88c61adf1d628b2d755547564f584ef5bb2f9b1",
+    ),
+    ("T2", 4, "all", "mis_max_vertices=3"): (
+        {"mis_max_vertices": 3}, 285, 256,
+        "b82faa40b55dbef44dbe13e1a91fc625f8fbe8a7b9a8762b868d5adad2a105cc",
+        "2d98a87e82a16b4c60e9dd8e25d9bf16fdcfdb4b3d99bafbdd3de21848197817",
+    ),
+    ("T2", 4, 5, "case I"): (
+        {}, 75, 0,
+        "48a175607a2ce95c1d2adb1f538f35ca0a1be316fcbc923909dca83b2fc3e3dc",
+        "bceb97cd7b805cecd3ee799712cba0ad94d84dc0bb6ef2b0a3dcfc8ccdcc0386",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", SKIP_PINS, ids=lambda key: "-".join(map(str, key)))
+def test_skip_heavy_outputs_match_pinned_bytes(tmp_path, key):
+    theorem, n_max, k_policy, _ = key
+    budget, rows, skipped, *pinned = SKIP_PINS[key]
+    csv = tmp_path / "sweep.csv"
+    report = run_sweep(SweepConfig(theorem, (1, n_max), k_policy=k_policy, output_csv=csv,
+                                   **budget))
+    assert (len(report.rows), len(report.skipped_rows)) == (rows, skipped)
+    digests = [
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (csv, csv.with_suffix(".summary.json"))
+    ]
+    assert digests == pinned
+
+
 @pytest.mark.parametrize(
     "theorem,k_policy,budget",
     [
