@@ -8,8 +8,8 @@ A graph reaches the search as :class:`NeighborMasks`, built once from its
 edges: Python-int bitmasks over the vertices' ranks in sorted order, after
 the bit-parallel maximum-clique search of San Segundo et al. (2011), "An
 exact bit-parallel algorithm for the maximum clique problem", applied here
-to independent sets. The search keeps its own stack, so its depth is not
-limited by Python's recursion limit.
+to independent sets. The search keeps its own stack (of exclude children
+only), so its depth is not limited by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ class NeighborMasks(MappingABC):
         return len(self.order)
 
 
-def _clique_cover_size(cand: int, nbr: list[int], limit: int) -> int:
-    """Cliques in a greedy clique cover of cand, counted up to limit + 1.
-
-    Each clique starts at the lowest uncovered vertex and grows through the
-    lowest uncovered common neighbour. An independent set takes at most one
-    vertex per clique, so the count bounds it from above.
-    """
-    cliques = 0
-    while cand and cliques <= limit:
-        low = cand & -cand
-        cand ^= low
-        common = cand & nbr[low.bit_length() - 1]
-        while common:
-            low = common & -common
-            cand ^= low
-            common &= nbr[low.bit_length() - 1]
-        cliques += 1
-    return cliques
-
-
 def lexmin_maximum_independent_set(
     vertices: Iterable[int],
     neighbors: MappingABC[int, Set[int]],
@@ -120,9 +100,12 @@ def lexmin_maximum_independent_set(
     Depth-first branch and bound on bitmasks. A node holds the chosen set
     and ``cand``, the vertices at or after the current one that no chosen
     vertex excludes. It branches on the lowest candidate, include-branch
-    first. Two admissible bounds prune a node that cannot strictly beat the
-    best set found so far: ``chosen + popcount(cand)``, then, only if that
-    fails, ``chosen`` plus the size of a greedy clique cover of ``cand``.
+    first: the include child is entered at once and only the exclude child
+    waits on the stack. Two admissible bounds prune a node that cannot
+    strictly beat the best set found so far: ``chosen + popcount(cand)``,
+    then, only if that fails, ``chosen`` plus the size of a greedy clique
+    cover of ``cand`` (an independent set takes at most one vertex of each
+    clique), counted inline and only up to the point where it stops pruning.
     Vertices are explored in ascending label order and only strict
     improvements are recorded, so the returned witness is the
     lexicographically smallest optimum (as a sorted label tuple).
@@ -141,29 +124,47 @@ def lexmin_maximum_independent_set(
     if not (vertices is neighbors and isinstance(neighbors, NeighborMasks)):
         labels = set(vertices)
         neighbors = NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
-    order, nbr = neighbors.order, neighbors.masks
-    n = len(order)
+    order = neighbors.order
+    nbr = [0, *neighbors.masks]  # indexed by a vertex bit's bit_length()
 
     best_size, best_set = 0, 0
     nodes = 0
-    stack = [((1 << n) - 1, 0, 0)]
-    while stack:
-        cand, size, chosen = stack.pop()
+    stack = []  # exclude children; an include child is entered at once
+    cand, size, chosen = (1 << len(order)) - 1, 0, 0
+    while True:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise BudgetError(
                 f"independent-set search exceeded {max_nodes} nodes"
             )
-        if not cand:
-            if size > best_size:
-                best_size, best_set = size, chosen
-            continue
-        slack = best_size - size
-        if cand.bit_count() <= slack or _clique_cover_size(cand, nbr, slack) <= slack:
-            continue
-        low = cand & -cand
-        stack.append((cand ^ low, size, chosen))
-        stack.append(((cand & ~nbr[low.bit_length() - 1]) ^ low, size + 1, chosen | low))
+        if cand:
+            slack = best_size - size
+            if cand.bit_count() > slack:
+                # Greedy clique cover, counted up to slack + 1: each clique
+                # grows from the lowest uncovered vertex through the lowest
+                # uncovered common neighbour.
+                rest, cliques = cand, 0
+                while rest and cliques <= slack:
+                    low = rest & -rest
+                    rest ^= low
+                    common = rest & nbr[low.bit_length()]
+                    while common:
+                        low = common & -common
+                        rest ^= low
+                        common &= nbr[low.bit_length()]
+                    cliques += 1
+                if cliques > slack:
+                    low = cand & -cand
+                    stack.append((cand ^ low, size, chosen))
+                    cand = (cand & ~nbr[low.bit_length()]) ^ low
+                    size += 1
+                    chosen |= low
+                    continue
+        elif size > best_size:
+            best_size, best_set = size, chosen
+        if not stack:
+            break
+        cand, size, chosen = stack.pop()
 
     witness = tuple(compress(order, bit_flags(best_set)))
     return best_size, witness, nodes

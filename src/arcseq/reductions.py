@@ -37,7 +37,8 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, filterfalse, repeat
+from operator import attrgetter, is_not, not_
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -194,6 +195,13 @@ class MaxIndependentSet(NamedTuple):
     vertices: tuple[int, ...]
 
 
+def _check_mis_cap(cap: int) -> None:
+    """Raises ValidationError unless the independent-set vertex cap is an int >= 0."""
+    _require_int(cap, "mis_max_vertices")
+    if cap < 0:
+        raise ValidationError("mis_max_vertices must be >= 0")
+
+
 def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
     """Exact maximum independent set of g by branch and bound.
 
@@ -201,8 +209,10 @@ def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
     neighbour bitmasks are built straight from ``g.edges``.
 
     Raises:
+        ValidationError: max_vertices is not an int, or is negative.
         BudgetError: g has more than max_vertices vertices.
     """
+    _check_mis_cap(max_vertices)
     if g.n > max_vertices:
         raise BudgetError(
             f"graph with {g.n} vertices exceeds independent-set budget {max_vertices}"
@@ -218,8 +228,7 @@ def independence_violations(g: Graph, vertices: Iterable[int]) -> set[Arc]:
     return {(i, j) for i, j in g.edges if i in vs and j in vs}
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Which construction produced an instance, and from what."""
 
     theorem: str  # "T1" | "T2"
@@ -228,9 +237,8 @@ class Provenance:
     k: int
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
-    """A reduced decision instance: sequences, constraint, and threshold."""
+class ReductionInstance(NamedTuple):
+    """A reduced decision instance, as a named tuple: sequences, constraint, threshold."""
 
     a1: AnnotatedSequence
     a2: AnnotatedSequence
@@ -277,11 +285,11 @@ def reduce_theorem1(g: Graph, k: int) -> ReductionInstance:
     case, threshold = _case_and_threshold("T1", g.n, k)
     seq = "a" * g.n
     return ReductionInstance(
-        a1=_trusted(AnnotatedSequence, seq=seq, arcs=g.edges),
-        a2=_trusted(AnnotatedSequence, seq=seq, arcs=frozenset()),
-        mc=_IDENTITY,
-        threshold=threshold,
-        provenance=Provenance("T1", case, g, k),
+        _trusted(AnnotatedSequence, seq=seq, arcs=g.edges),
+        _trusted(AnnotatedSequence, seq=seq, arcs=frozenset()),
+        _IDENTITY,
+        threshold,
+        Provenance("T1", case, g, k),
     )
 
 
@@ -333,13 +341,7 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     case, threshold = _case_and_threshold("T2", g.n, k)
     if case == "I":
         a = _trusted(AnnotatedSequence, seq="a", arcs=frozenset())
-        return ReductionInstance(
-            a1=a,
-            a2=a,
-            mc=_IDENTITY,
-            threshold=threshold,
-            provenance=Provenance("T2", case, g, k),
-        )
+        return ReductionInstance(a, a, _IDENTITY, threshold, Provenance("T2", case, g, k))
 
     n = g.n
     seq, brackets, a2 = _blocked_frame(n)
@@ -354,13 +356,7 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
         _check(seq[alpha - 1] == "a" and seq[beta - 1] == "a", "edge arcs land on a's")
     _check(_no_shared_endpoints(a1.arcs), "P1 within crossing")
 
-    return ReductionInstance(
-        a1=a1,
-        a2=a2,
-        mc=_IDENTITY,
-        threshold=threshold,
-        provenance=Provenance("T2", case, g, k),
-    )
+    return ReductionInstance(a1, a2, _IDENTITY, threshold, Provenance("T2", case, g, k))
 
 
 def extract_independent_set(inst: ReductionInstance, m: Mapping) -> frozenset[int]:
@@ -446,6 +442,10 @@ class EquivalenceRow(NamedTuple):
 ROW_FIELDS = EquivalenceRow._fields[:-1]
 
 
+# The columns the report's tallies read, as C-level getters over the rows.
+_forward_ok, _backward_ok, _skip_reason = map(attrgetter, EquivalenceRow._fields[-3:])
+
+
 @dataclass
 class EquivalenceReport:
     """Collected rows of an equivalence sweep plus derived summaries."""
@@ -453,33 +453,51 @@ class EquivalenceReport:
     theorem: str
     rows: list[EquivalenceRow]
 
+    def _split(self) -> tuple[list[EquivalenceRow], list[EquivalenceRow]]:
+        """The completed rows and the skipped rows, in C-level passes; with
+        none skipped, the row list itself and [] without a Python scan."""
+        rows = self.rows
+        skips = list(map(is_not, map(_skip_reason, rows), repeat(None)))
+        if True not in skips:
+            return rows, []
+        return list(compress(rows, map(not_, skips))), list(compress(rows, skips))
+
     @property
     def counterexamples(self) -> list[EquivalenceRow]:
-        return [r for r in self.rows if r.counterexample]
+        done = self._split()[0]
+        if all(map(_forward_ok, done)) and all(map(_backward_ok, done)):
+            return []
+        return [r for r in done if not (r.forward_ok and r.backward_ok)]
 
     @property
     def skipped_rows(self) -> list[EquivalenceRow]:
-        return [r for r in self.rows if r.skipped]
+        return self._split()[1]
 
     def counts(self) -> dict[str, int]:
         """The row tallies that the summary, ``arcseq sweep`` and the sweep demo
         print. Failures count completed rows only; a row with either failure
         is a counterexample."""
-        done = [r for r in self.rows if not r.skipped]
+        done, skipped = self._split()
         return {
             "rows": len(self.rows),
             "completed": len(done),
-            "skipped": len(self.rows) - len(done),
-            "forward_failures": sum(not r.forward_ok for r in done),
-            "backward_failures": sum(not r.backward_ok for r in done),
+            "skipped": len(skipped),
+            "forward_failures": len(list(filterfalse(None, map(_forward_ok, done)))),
+            "backward_failures": len(list(filterfalse(None, map(_backward_ok, done)))),
         }
 
     def summary(self) -> dict:
         """The theorem, :meth:`counts`, and the counterexample and skipped rows."""
+        payload = self._summary_rows()
+        payload["counterexamples"] = [dict(zip(ROW_FIELDS, r)) for r in payload["counterexamples"]]
+        return payload
+
+    def _summary_rows(self) -> dict:
+        """:meth:`summary`, each counterexample left as its row tuple."""
         return {
             "theorem": self.theorem,
             **self.counts(),
-            "counterexamples": [dict(zip(ROW_FIELDS, r)) for r in self.counterexamples],
+            "counterexamples": self.counterexamples,
             "skipped_rows": [
                 {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason}
                 for r in self.skipped_rows
@@ -517,12 +535,16 @@ class GraphOracles:
     it. An entry is filled on its case's first row: α, the same for every
     case, is computed first and once; then the instance is built through
     ``REDUCTIONS[theorem]`` and solved within ``search_budget``.
+
+    Raises:
+        ValidationError: mis_max_vertices is not an int, or is negative.
     """
 
     def __init__(
         self, g: Graph, theorem: str, search_budget: SearchBudget | None = None,
         mis_max_vertices: int = 20,
     ):
+        _check_mis_cap(mis_max_vertices)
         self.graph = g
         self.theorem = theorem
         self.search_budget = search_budget
@@ -572,7 +594,8 @@ def check_equivalence(
 
     Raises:
         ValidationError: theorem is not "T1" or "T2", k is not an int >= 1,
-            or oracles were built for another graph, theorem or budgets.
+            mis_max_vertices is not an int >= 0, or oracles were built for
+            another graph, theorem or budgets.
     """
     if theorem not in REDUCTIONS:
         raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")

@@ -528,13 +528,16 @@ def solve(
     Arc-free unconstrained instances go to lcs_dp; identity-constrained
     equal-length instances go to diagonal_conflict_solve, which decides
     whether the conflict degree allows it; everything else, and every
-    instance it declines, goes to exact_search.
+    instance it declines, goes to exact_search. The lane is skipped when
+    equal sequences carry more conflict arcs than positions, which forces a
+    vertex of degree >= 3; the arc counts are compared before the xor.
     """
     if not a1.arcs and not a2.arcs and mc.kind == "unconstrained":
         return lcs_dp(a1, a2)
-    if mc.forces_identity() and len(a1) == len(a2):
-        try:
-            return diagonal_conflict_solve(a1, a2)
-        except CapabilityError:
-            pass
+    if mc.forces_identity() and (n := len(a1)) == len(a2):
+        if len(a1.arcs) + len(a2.arcs) <= n or a1.seq != a2.seq or len(a1.arcs ^ a2.arcs) <= n:
+            try:
+                return diagonal_conflict_solve(a1, a2)
+            except CapabilityError:
+                pass
     return exact_search(a1, a2, mc, budget)

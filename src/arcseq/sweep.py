@@ -30,6 +30,7 @@ from .reductions import (
     REDUCTIONS,
     ROW_FIELDS,
     _case_and_threshold,
+    _check_mis_cap,
     check_equivalence,
 )
 from .solvers import SearchBudget, exact_search
@@ -86,9 +87,7 @@ class SweepConfig:
                 raise ValidationError("fixed k must be >= 1")
         elif self.k_policy != "all":
             raise ValidationError("k_policy must be 'all' or a positive integer")
-        _require_int(self.mis_max_vertices, "mis_max_vertices")
-        if self.mis_max_vertices < 0:
-            raise ValidationError("mis_max_vertices must be >= 0")
+        _check_mis_cap(self.mis_max_vertices)
         if self.max_exhaustive_n is not None:
             _require_int(self.max_exhaustive_n, "max_exhaustive_n")
             if self.max_exhaustive_n < 1:
@@ -241,22 +240,34 @@ def row_cells(row: EquivalenceRow) -> dict[str, str]:
     return dict(zip(ROW_FIELDS, map(next, map(_column_cells, zip(row)))))
 
 
+# The value kinds of a completed row's cells, in ROW_FIELDS order, and the
+# line one % writes from them once each flag is looked up as its text.
+_COMPLETED_KINDS = [{str}, {int}, {int}, {bool}, {int}, {bool}, {int}, {int}, *[{bool}] * 3]
+_COMPLETED_LINE = ",".join(["%s"] * len(ROW_FIELDS))
+
+
 def render_csv(report: EquivalenceReport) -> str:
     """The report as CSV text: the header, then one line per row.
 
-    Each line is ``row_cells(row)`` joined by commas: the cells come from the
-    same column renderer, run a column at a time, with no Python call per
-    cell.
+    Each line is ``row_cells(row)`` joined by commas, with no Python call
+    per cell. When each column holds its completed-row kind, the flags are
+    looked up and each line is written by one %; any other report goes
+    through ``row_cells``' column renderer, run a column at a time.
     """
     columns = list(zip(*report.rows))[: len(ROW_FIELDS)]
-    lines = map(",".join, zip(*map(_column_cells, columns)))
+    kinds = [set(map(type, values)) for values in columns]
+    if kinds == _COMPLETED_KINDS:
+        cells = [_column_cells(c) if k == {bool} else c for c, k in zip(columns, kinds)]
+        lines = map(_COMPLETED_LINE.__mod__, zip(*cells))
+    else:
+        lines = map(",".join, zip(*map(_column_cells, columns)))
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 # One counterexample object as json.dumps(indent=2, sort_keys=True) writes it
 # in the summary: keys in sorted order, the object two levels deep.
 _SORTED_FIELDS = sorted(ROW_FIELDS)
-_values_in_key_order = itemgetter(*_SORTED_FIELDS)
+_values_in_key_order = itemgetter(*map(ROW_FIELDS.index, _SORTED_FIELDS))
 _COUNTEREXAMPLE = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in _SORTED_FIELDS)
 # The line json writes for no counterexamples. The newline and two-space
 # indent match only a top-level key, and no JSON string holds a newline.
@@ -283,8 +294,10 @@ def render_summary(report: EquivalenceReport, cfg: SweepConfig, spot_checks: dic
     The counterexample rows, most of the text, are each written through one
     fixed template instead of json's pure-Python indenting encoder, and
     spliced into the text json writes for the rest; the bytes are the same.
+    The template reads each row tuple in sorted-field order, with no dict
+    per row.
     """
-    payload = report.summary()
+    payload = report._summary_rows()
     payload["config"] = cfg.config_echo()
     payload["spot_checks"] = spot_checks
     rows = payload["counterexamples"]

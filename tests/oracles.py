@@ -8,9 +8,14 @@ differently) are references of another kind: the new code must match them.
 """
 
 import itertools
+from collections.abc import Iterable, Mapping as MappingABC, Set
+from itertools import compress
 
 from arcseq import AnnotatedSequence, FormatError, MatchConstraint, StructureLevel, ValidationError
 from arcseq.core import _trusted
+from arcseq.errors import BudgetError, CapabilityError
+from arcseq.mis import NeighborMasks, bit_flags
+from arcseq.solvers import SearchBudget, SolveResult, diagonal_conflict_solve, exact_search, lcs_dp
 from arcseq.reductions import (
     _IDENTITY,
     Graph,
@@ -316,3 +321,114 @@ def classified_reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
         threshold=threshold,
         provenance=Provenance("T2", case, g, k),
     )
+
+
+def _clique_cover_size(cand: int, nbr: list[int], limit: int) -> int:
+    """Cliques in a greedy clique cover of cand, counted up to limit + 1.
+
+    Each clique starts at the lowest uncovered vertex and grows through the
+    lowest uncovered common neighbour. An independent set takes at most one
+    vertex per clique, so the count bounds it from above.
+    """
+    cliques = 0
+    while cand and cliques <= limit:
+        low = cand & -cand
+        cand ^= low
+        common = cand & nbr[low.bit_length() - 1]
+        while common:
+            low = common & -common
+            cand ^= low
+            common &= nbr[low.bit_length() - 1]
+        cliques += 1
+    return cliques
+
+
+def both_children_stacked_lexmin_mis(
+    vertices: Iterable[int],
+    neighbors: MappingABC[int, Set[int]],
+    max_nodes: int | None = None,
+) -> tuple[int, tuple[int, ...], int]:
+    """The independent-set engine as it was before it entered each include
+    child at once: both children go on the stack, and the clique cover is
+    its own function. Kept verbatim as the reference search; the engine must
+    match its size, witness and node count.
+
+    Exact maximum independent set with a deterministic witness.
+
+    Depth-first branch and bound on bitmasks. A node holds the chosen set
+    and ``cand``, the vertices at or after the current one that no chosen
+    vertex excludes. It branches on the lowest candidate, include-branch
+    first. Two admissible bounds prune a node that cannot strictly beat the
+    best set found so far: ``chosen + popcount(cand)``, then, only if that
+    fails, ``chosen`` plus the size of a greedy clique cover of ``cand``.
+    Vertices are explored in ascending label order and only strict
+    improvements are recorded, so the returned witness is the
+    lexicographically smallest optimum (as a sorted label tuple).
+
+    Called as ``(masks, masks)`` with one :class:`NeighborMasks`, it reads
+    them as they are; any other mapping is turned into one, so neighbour
+    sets may list an edge on one side only, or name labels outside
+    ``vertices``.
+
+    Returns:
+        (size, witness, explored_node_count)
+
+    Raises:
+        BudgetError: more than max_nodes search nodes were explored.
+    """
+    if not (vertices is neighbors and isinstance(neighbors, NeighborMasks)):
+        labels = set(vertices)
+        neighbors = NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
+    order, nbr = neighbors.order, neighbors.masks
+    n = len(order)
+
+    best_size, best_set = 0, 0
+    nodes = 0
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        cand, size, chosen = stack.pop()
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetError(
+                f"independent-set search exceeded {max_nodes} nodes"
+            )
+        if not cand:
+            if size > best_size:
+                best_size, best_set = size, chosen
+            continue
+        slack = best_size - size
+        if cand.bit_count() <= slack or _clique_cover_size(cand, nbr, slack) <= slack:
+            continue
+        low = cand & -cand
+        stack.append((cand ^ low, size, chosen))
+        stack.append(((cand & ~nbr[low.bit_length() - 1]) ^ low, size + 1, chosen | low))
+
+    witness = tuple(compress(order, bit_flags(best_set)))
+    return best_size, witness, nodes
+
+
+def lane_then_exact_solve(
+    a1: AnnotatedSequence,
+    a2: AnnotatedSequence,
+    mc: MatchConstraint,
+    budget: SearchBudget | None = None,
+) -> SolveResult:
+    """solve() as it was before it skipped the degree-2 lane where the lane
+    must decline: every equal-length identity instance tries the lane first.
+    Kept verbatim as the reference route.
+
+    Route an instance to the cheapest applicable exact solver.
+
+    Arc-free unconstrained instances go to lcs_dp; identity-constrained
+    equal-length instances go to diagonal_conflict_solve, which decides
+    whether the conflict degree allows it; everything else, and every
+    instance it declines, goes to exact_search.
+    """
+    if not a1.arcs and not a2.arcs and mc.kind == "unconstrained":
+        return lcs_dp(a1, a2)
+    if mc.forces_identity() and len(a1) == len(a2):
+        try:
+            return diagonal_conflict_solve(a1, a2)
+        except CapabilityError:
+            pass
+    return exact_search(a1, a2, mc, budget)

@@ -1,22 +1,32 @@
-"""The bitset independent-set engine against the unpruned lexmin oracle."""
+"""The bitset independent-set engine against the unpruned lexmin oracle and
+against the search it replaced."""
 
 import random
+from itertools import compress, count
 
 import pytest
 
-from arcseq import BudgetError
+from arcseq import BudgetError, reduce_theorem2
 from arcseq.generate import exhaustive_graphs
 from arcseq.mis import NeighborMasks, adjacency, lexmin_maximum_independent_set
+from arcseq.solvers import _conflict_edges
 
-from oracles import brute_lexmin_independent_set, rank_table_masks
+from oracles import (
+    both_children_stacked_lexmin_mis,
+    brute_lexmin_independent_set,
+    rank_table_masks,
+)
 
 
 def _same_search(vertices, neighbors, masks):
     """The mask path and the neighbour-set path give the same size, witness
-    and node count, and the same BudgetError one node short of that count."""
+    and node count as the search that stacked both children, and the same
+    BudgetError one node short of that count."""
     by_masks = lexmin_maximum_independent_set(masks, masks)
+    assert both_children_stacked_lexmin_mis(masks, masks) == by_masks
     assert lexmin_maximum_independent_set(vertices, neighbors) == by_masks
     nodes = by_masks[2]
+    assert lexmin_maximum_independent_set(masks, masks, max_nodes=nodes) == by_masks
     errors = []
     for args in ((masks, masks), (vertices, neighbors)):
         with pytest.raises(BudgetError) as info:
@@ -148,3 +158,19 @@ def test_neighbor_masks_is_a_read_only_mapping_of_full_neighbour_sets():
     with pytest.raises(KeyError):
         masks[9]
     assert dict(NeighborMasks((), [(1, 2)])) == {}
+
+
+def test_same_search_on_every_6_vertex_graph_and_the_blocked_conflict_graphs():
+    # Graphs up to 5 vertices and the seeded ones up to 20 go through
+    # _same_search above; these add every labelled graph on 6 vertices and
+    # the case-II conflict graphs of the two-letter reduction up to n = 5
+    # (35 vertices at n = 5, whose conflict edges are the edge arcs).
+    vertices = range(1, 7)
+    for _, g in exhaustive_graphs(6):
+        _same_search(vertices, adjacency(vertices, g.edges), NeighborMasks(vertices, g.edges))
+    for n in range(1, 6):
+        for _, g in exhaustive_graphs(n):
+            inst = reduce_theorem2(g, 1)
+            flags, arcs = _conflict_edges(inst.a1, inst.a2)
+            candidates = list(compress(count(), flags))
+            _same_search(candidates, adjacency(candidates, arcs), NeighborMasks(candidates, arcs))

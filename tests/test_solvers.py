@@ -27,8 +27,9 @@ from arcseq import (
     lcs_dp,
     solve,
 )
+from arcseq import reduce_theorem1, reduce_theorem2, solvers
 from arcseq.formats import parse_annotated_sequence
-from arcseq.generate import random_annotated_sequence, random_arcs
+from arcseq.generate import exhaustive_graphs, random_annotated_sequence, random_arcs, random_graph
 from arcseq.solvers import _suffix_lcs_rows
 
 from oracles import (
@@ -39,6 +40,7 @@ from oracles import (
     brute_lexmin_lcs,
     brute_min_vertex_cover,
     conflict_graph_by_definition,
+    lane_then_exact_solve,
 )
 
 UNC = MatchConstraint.unconstrained()
@@ -743,6 +745,53 @@ class TestSolveDispatch:
         a1 = AnnotatedSequence("abab", {(1, 3)})
         r = solve(a1, AnnotatedSequence("abab"), UNC)
         assert r.stats["solver"] == "exact_search"
+
+    def test_certain_decline_skips_the_lane(self, monkeypatch):
+        # solve() does not try the degree-2 lane when equal sequences carry
+        # more conflict arcs than positions. Wherever it skips the lane, the
+        # lane declines the pair; every result, witness and stats included,
+        # is the lane-then-exact route's. Every T1 and T2 instance with
+        # n <= 5 (both T2 cases), seeded T1/T2 graphs with n = 6, and seeded
+        # pairs with arcs on both sides, shared ones among them, so that the
+        # arc counts exceed the length while the conflict arcs do not; the
+        # 4-cycle has exactly as many conflict arcs as positions.
+        lane_calls = []
+
+        def counted(a1, a2):
+            lane_calls.append((a1, a2))
+            return diagonal_conflict_solve(a1, a2)
+
+        monkeypatch.setattr(solvers, "diagonal_conflict_solve", counted)
+        rng = random.Random(20118)
+        graphs = [g for n in range(6) for _, g in exhaustive_graphs(n)]
+        graphs += [random_graph(rng, 6, rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+        pairs = [
+            (inst.a1, inst.a2)
+            for g in graphs
+            for inst in (reduce_theorem1(g, 1), reduce_theorem2(g, 1), reduce_theorem2(g, g.n + 1))
+        ]
+        pairs.append((AnnotatedSequence("aaaa", {(1, 2), (3, 4)}),
+                      AnnotatedSequence("aaaa", {(2, 3), (1, 4)})))
+        for _ in range(600):
+            length, p = rng.randint(2, 8), rng.choice((0.15, 0.3, 0.45))
+            seq = "".join(rng.choices("ab", k=length))
+            arcs = [{a for a in itertools.combinations(range(1, length + 1), 2) if rng.random() < p}
+                    for _ in range(2)]
+            shared = {a for a in arcs[0] if rng.random() < 0.5}
+            other = seq if rng.random() < 0.8 else seq[::-1]
+            pairs.append((AnnotatedSequence(seq, arcs[0]), AnnotatedSequence(other, arcs[1] | shared)))
+        skipped = tried = 0
+        for a1, a2 in pairs:
+            certain = a1.seq == a2.seq and len(a1.arcs ^ a2.arcs) > len(a1)
+            if certain:
+                with pytest.raises(CapabilityError):
+                    diagonal_conflict_solve(a1, a2)
+            lane_calls.clear()
+            assert solve(a1, a2, FRAG1) == lane_then_exact_solve(a1, a2, FRAG1)
+            assert lane_calls == ([] if certain else [(a1, a2)])
+            skipped += certain
+            tried += not certain
+        assert skipped > 600 and tried > 3500
 
 
 class TestCrossSolverAgreement:

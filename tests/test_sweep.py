@@ -6,10 +6,12 @@ import json
 
 import pytest
 
-from arcseq import ValidationError, check_equivalence, reductions
+from arcseq import (
+    Graph, ValidationError, check_equivalence, max_independent_set, reductions, sweep,
+)
 from arcseq.generate import exhaustive_graphs
 from arcseq.solvers import SearchBudget
-from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow
+from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow, GraphOracles
 from arcseq.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -243,19 +245,23 @@ def test_skipped_rows_rendered_distinctly(tmp_path):
 
 
 def test_csv_lines_are_the_row_cells():
-    # render_csv renders a column at a time; each line must still be the
-    # row's own cells, and each cell what one call per value gave. Rows mix
-    # completed and skipped ones, and the last puts an int among the bools
-    # of a flag column and a bool among ints.
-    rows = run_sweep(SweepConfig("T1", (1, 3))).rows
-    rows += run_sweep(SweepConfig("T1", (3, 3), k_policy=1, mis_max_vertices=2)).rows
+    # render_csv renders a column at a time, or a line per % when every
+    # column holds its completed-row kind; each line must still be the
+    # row's own cells, and each cell what one call per value gave. The
+    # first report is all completed rows, so it takes the template. The
+    # second mixes completed and skipped rows, and its last row puts an int
+    # among the bools of a flag column and a bool among ints.
+    completed = run_sweep(SweepConfig("T1", (1, 3))).rows
+    assert [set(map(type, c)) for c in list(zip(*completed))[:11]] == sweep._COMPLETED_KINDS
+    rows = completed + run_sweep(SweepConfig("T1", (3, 3), k_policy=1, mis_max_vertices=2)).rows
     rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1))
     assert any(r.skipped for r in rows) and not all(r.skipped for r in rows)
     for r in rows:
         assert row_cells(r) == dict(zip(ROW_FIELDS, map(per_value_cell, r)))
-    text = render_csv(EquivalenceReport("T1", rows))
-    expected = [CSV_HEADER] + [",".join(row_cells(r).values()) for r in rows]
-    assert text == "\n".join(expected) + "\n"
+    for report_rows in (completed, rows):
+        text = render_csv(EquivalenceReport("T1", report_rows))
+        expected = [CSV_HEADER] + [",".join(row_cells(r).values()) for r in report_rows]
+        assert text == "\n".join(expected) + "\n"
     assert text.splitlines()[-1].startswith("odd,true,")
 
 
@@ -346,6 +352,20 @@ def test_invalid_configs_rejected():
             with pytest.raises(ValidationError, match=field_name):
                 SweepConfig("T1", (1, 2), **{field_name: value})
     assert SweepConfig("T1", (1, 2), mis_max_vertices=0).mis_max_vertices == 0
+    # The independent-set cap is checked, with the same messages, wherever
+    # it is taken: a float or a bool would otherwise be compared as a
+    # number, and a string would raise TypeError.
+    g = Graph(3, {(1, 2)})
+    for value, message in ((3.5, "must be an integer"), (True, "must be an integer"),
+                           ("3", "must be an integer"), (-1, "must be >= 0")):
+        for build in (
+            lambda: SweepConfig("T1", (1, 2), mis_max_vertices=value),
+            lambda: max_independent_set(g, max_vertices=value),
+            lambda: GraphOracles(g, "T1", None, value),
+            lambda: check_equivalence(g, 1, "T1", mis_max_vertices=value),
+        ):
+            with pytest.raises(ValidationError, match=f"mis_max_vertices {message}"):
+                build()
     for p in (1.5, -0.1, float("nan")):
         with pytest.raises(ValidationError, match="edge_probability"):
             SweepConfig(
