@@ -37,8 +37,8 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
-from operator import attrgetter, is_not, not_
+from itertools import compress, filterfalse
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -453,38 +453,39 @@ class EquivalenceReport:
     theorem: str
     rows: list[EquivalenceRow]
 
-    def _split(self) -> tuple[list[EquivalenceRow], list[EquivalenceRow]]:
-        """The completed rows and the skipped rows, in C-level passes; with
-        none skipped, the row list itself and [] without a Python scan."""
-        rows = self.rows
-        skips = list(map(is_not, map(_skip_reason, rows), repeat(None)))
-        if True not in skips:
-            return rows, []
-        return list(compress(rows, map(not_, skips))), list(compress(rows, skips))
-
     @property
     def counterexamples(self) -> list[EquivalenceRow]:
-        done = self._split()[0]
-        if all(map(_forward_ok, done)) and all(map(_backward_ok, done)):
-            return []
-        return [r for r in done if not (r.forward_ok and r.backward_ok)]
+        return self._tallies()[0]
 
     @property
     def skipped_rows(self) -> list[EquivalenceRow]:
-        return self._split()[1]
+        return self._tallies()[1]
 
     def counts(self) -> dict[str, int]:
         """The row tallies that the summary, ``arcseq sweep`` and the sweep demo
         print. Failures count completed rows only; a row with either failure
         is a counterexample."""
-        done, skipped = self._split()
-        return {
-            "rows": len(self.rows),
+        return self._tallies()[2]
+
+    def _tallies(self) -> tuple[list[EquivalenceRow], list[EquivalenceRow], dict[str, int]]:
+        """The counterexample rows, the skipped rows and :meth:`counts`, from
+        one split of the rows. Each full pass is a C-level one; with nothing
+        skipped or failed (the usual report) no Python code runs per row."""
+        rows = self.rows
+        if list(map(_skip_reason, rows)).count(None) == len(rows):
+            done, skipped = rows, []
+        else:
+            done = [r for r in rows if not r.skipped]
+            skipped = [r for r in rows if r.skipped]
+        counts = {
+            "rows": len(rows),
             "completed": len(done),
             "skipped": len(skipped),
             "forward_failures": len(list(filterfalse(None, map(_forward_ok, done)))),
             "backward_failures": len(list(filterfalse(None, map(_backward_ok, done)))),
         }
+        failed = counts["forward_failures"] or counts["backward_failures"]
+        return [r for r in done if r.counterexample] if failed else [], skipped, counts
 
     def summary(self) -> dict:
         """The theorem, :meth:`counts`, and the counterexample and skipped rows."""
@@ -494,13 +495,13 @@ class EquivalenceReport:
 
     def _summary_rows(self) -> dict:
         """:meth:`summary`, each counterexample left as its row tuple."""
+        counterexamples, skipped, counts = self._tallies()
         return {
             "theorem": self.theorem,
-            **self.counts(),
-            "counterexamples": self.counterexamples,
+            **counts,
+            "counterexamples": counterexamples,
             "skipped_rows": [
-                {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason}
-                for r in self.skipped_rows
+                {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason} for r in skipped
             ],
         }
 
@@ -602,9 +603,12 @@ def check_equivalence(
     case, threshold = _case_and_threshold(theorem, g.n, k)
     if oracles is None:
         oracles = GraphOracles(g, theorem, search_budget, mis_max_vertices)
-    elif (oracles.graph, oracles.theorem, oracles.search_budget, oracles.mis_max_vertices) != (
-        g, theorem, search_budget, mis_max_vertices
-    ):
+    elif type(mis_max_vertices) is not int or (
+        oracles.graph, oracles.theorem, oracles.search_budget, oracles.mis_max_vertices
+    ) != (g, theorem, search_budget, mis_max_vertices):
+        # The oracles' cap is a checked int, so only a cap of another type
+        # can compare equal to it and still be invalid.
+        _check_mis_cap(mis_max_vertices)
         raise ValidationError("oracles were built for another graph, theorem or budgets")
     if graph_id is None:
         graph_id = default_graph_id(g)

@@ -240,28 +240,22 @@ def row_cells(row: EquivalenceRow) -> dict[str, str]:
     return dict(zip(ROW_FIELDS, map(next, map(_column_cells, zip(row)))))
 
 
-# The value kinds of a completed row's cells, in ROW_FIELDS order, and the
-# line one % writes from them once each flag is looked up as its text.
-_COMPLETED_KINDS = [{str}, {int}, {int}, {bool}, {int}, {bool}, {int}, {int}, *[{bool}] * 3]
-_COMPLETED_LINE = ",".join(["%s"] * len(ROW_FIELDS))
+# One report line, written by one % from the row's cells.
+_CSV_LINE = ",".join(["%s"] * len(ROW_FIELDS))
 
 
 def render_csv(report: EquivalenceReport) -> str:
     """The report as CSV text: the header, then one line per row.
 
     Each line is ``row_cells(row)`` joined by commas, with no Python call
-    per cell. When each column holds its completed-row kind, the flags are
-    looked up and each line is written by one %; any other report goes
-    through ``row_cells``' column renderer, run a column at a time.
+    per cell: a column of exact ints or of exact strs is its own text under
+    %, and every other column goes through ``row_cells``' column renderer.
     """
     columns = list(zip(*report.rows))[: len(ROW_FIELDS)]
-    kinds = [set(map(type, values)) for values in columns]
-    if kinds == _COMPLETED_KINDS:
-        cells = [_column_cells(c) if k == {bool} else c for c, k in zip(columns, kinds)]
-        lines = map(_COMPLETED_LINE.__mod__, zip(*cells))
-    else:
-        lines = map(",".join, zip(*map(_column_cells, columns)))
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+    cells = [
+        c if set(map(type, c)) in ({int}, {str}) else _column_cells(c) for c in columns
+    ]
+    return "\n".join([CSV_HEADER, *map(_CSV_LINE.__mod__, zip(*cells))]) + "\n"
 
 
 # One counterexample object as json.dumps(indent=2, sort_keys=True) writes it

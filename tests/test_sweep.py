@@ -7,7 +7,7 @@ import json
 import pytest
 
 from arcseq import (
-    Graph, ValidationError, check_equivalence, max_independent_set, reductions, sweep,
+    Graph, ValidationError, check_equivalence, max_independent_set, reductions,
 )
 from arcseq.generate import exhaustive_graphs
 from arcseq.solvers import SearchBudget
@@ -245,20 +245,20 @@ def test_skipped_rows_rendered_distinctly(tmp_path):
 
 
 def test_csv_lines_are_the_row_cells():
-    # render_csv renders a column at a time, or a line per % when every
-    # column holds its completed-row kind; each line must still be the
-    # row's own cells, and each cell what one call per value gave. The
-    # first report is all completed rows, so it takes the template. The
-    # second mixes completed and skipped rows, and its last row puts an int
-    # among the bools of a flag column and a bool among ints.
+    # render_csv writes each line by one %, passing exact-int and exact-str
+    # columns through as they are and every other column through the column
+    # renderer; each line must still be the row's own cells, and each cell
+    # what one call per value gave. The reports: no rows; all completed rows;
+    # and completed and skipped rows mixed, whose last row puts an int among
+    # the bools of a flag column and a bool among ints.
     completed = run_sweep(SweepConfig("T1", (1, 3))).rows
-    assert [set(map(type, c)) for c in list(zip(*completed))[:11]] == sweep._COMPLETED_KINDS
+    assert completed and not any(r.skipped for r in completed)
     rows = completed + run_sweep(SweepConfig("T1", (3, 3), k_policy=1, mis_max_vertices=2)).rows
     rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1))
     assert any(r.skipped for r in rows) and not all(r.skipped for r in rows)
     for r in rows:
         assert row_cells(r) == dict(zip(ROW_FIELDS, map(per_value_cell, r)))
-    for report_rows in (completed, rows):
+    for report_rows in ([], completed, rows):
         text = render_csv(EquivalenceReport("T1", report_rows))
         expected = [CSV_HEADER] + [",".join(row_cells(r).values()) for r in report_rows]
         assert text == "\n".join(expected) + "\n"
@@ -354,15 +354,20 @@ def test_invalid_configs_rejected():
     assert SweepConfig("T1", (1, 2), mis_max_vertices=0).mis_max_vertices == 0
     # The independent-set cap is checked, with the same messages, wherever
     # it is taken: a float or a bool would otherwise be compared as a
-    # number, and a string would raise TypeError.
+    # number, and a string would raise TypeError. With shared oracles built
+    # for a cap of 1, True and 1.0 compare equal to that cap and are still
+    # rejected.
     g = Graph(3, {(1, 2)})
+    shared = GraphOracles(g, "T1", None, 1)
     for value, message in ((3.5, "must be an integer"), (True, "must be an integer"),
-                           ("3", "must be an integer"), (-1, "must be >= 0")):
+                           (1.0, "must be an integer"), ("3", "must be an integer"),
+                           (-1, "must be >= 0")):
         for build in (
             lambda: SweepConfig("T1", (1, 2), mis_max_vertices=value),
             lambda: max_independent_set(g, max_vertices=value),
             lambda: GraphOracles(g, "T1", None, value),
             lambda: check_equivalence(g, 1, "T1", mis_max_vertices=value),
+            lambda: check_equivalence(g, 1, "T1", mis_max_vertices=value, oracles=shared),
         ):
             with pytest.raises(ValidationError, match=f"mis_max_vertices {message}"):
                 build()
