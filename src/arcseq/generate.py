@@ -35,14 +35,21 @@ def exhaustive_graphs(n: int) -> Iterator[tuple[int, Graph]]:
         yield mask, Graph.from_mask(n, mask)
 
 
+def _is_probability(p) -> bool:
+    """True for an int or a float within [0, 1]. A bool is not one here, and
+    NaN is outside."""
+    return isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 1
+
+
 def random_graph(rng: random.Random, n: int, edge_probability: float) -> Graph:
     """One draw from the G(n, p) model, over the canonical edge universe.
 
     Raises:
-        ValidationError: n is not an int, n < 0, or p is outside [0, 1].
+        ValidationError: n is not an int, n < 0, or p is not an int or a
+            float within [0, 1].
     """
     _check_vertex_count(n)
-    if not 0.0 <= edge_probability <= 1.0:
+    if not _is_probability(edge_probability):
         raise ValidationError("edge probability must be within [0, 1]")
     return _canonical_graph(
         n, [e for e in edge_universe(n) if rng.random() < edge_probability]

@@ -1,15 +1,15 @@
-"""Exact maximum independent set by bit-parallel branch and bound.
+"""Exact maximum independent set, by two engines that share no code.
 
-Shared search engine: the graph-side oracle of the reduction checker and the
-identity-constrained path of the exhaustive solver are both maximum
-independent set problems over small vertex sets.
-
-A graph reaches the search as :class:`NeighborMasks`, built once from its
-edges: Python-int bitmasks over the vertices' ranks in sorted order, after
-the bit-parallel maximum-clique search of San Segundo et al. (2011), "An
-exact bit-parallel algorithm for the maximum clique problem", applied here
-to independent sets. The search keeps its own stack (of exclude children
-only), so its depth is not limited by Python's recursion limit.
+:func:`lexmin_maximum_independent_set` returns the lexicographically
+smallest optimum: the exhaustive solver's identity route and
+:func:`arcseq.reductions.max_independent_set` run it. A graph reaches it as
+:class:`NeighborMasks`, built once from its edges: Python-int bitmasks over
+the vertices' ranks in sorted order, after the bit-parallel maximum-clique
+search of San Segundo et al. (2011), "An exact bit-parallel algorithm for
+the maximum clique problem", applied here to independent sets.
+:func:`independence_number`, the size alone, is the reduction checker's
+graph-side oracle. Both keep their own stack, so their depth is not limited
+by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import compress
 
 from .errors import BudgetError
 
-__all__ = ["NeighborMasks", "adjacency", "lexmin_maximum_independent_set"]
+__all__ = ["NeighborMasks", "adjacency", "independence_number", "lexmin_maximum_independent_set"]
 
 
 def adjacency(
@@ -55,7 +55,8 @@ class NeighborMasks(MappingABC):
     ``order`` holds the labels in ascending order; bit j of ``masks[i]`` is
     set when the labels of ranks i < j are adjacent. An edge may be listed
     in either direction, more than once; loops and edges leaving
-    ``vertices`` are left out, as :func:`adjacency` leaves them out. As a
+    ``vertices`` are left out, as :func:`adjacency` leaves them out. Bit i
+    of ``touched`` is set when the label of rank i has a neighbour. As a
     read-only mapping, a label's value is its full neighbour set.
     """
 
@@ -75,6 +76,11 @@ class NeighborMasks(MappingABC):
                 p, q = q, p
             if low <= p < q <= high:
                 masks[p - low] |= 1 << q - low
+        touched = 0
+        for i, mask in enumerate(masks):
+            if mask:
+                touched |= mask | 1 << i
+        self.touched = touched
 
     def __getitem__(self, v: int) -> frozenset[int]:
         if v not in self.order:
@@ -106,6 +112,9 @@ def lexmin_maximum_independent_set(
     then, only if that fails, ``chosen`` plus the size of a greedy clique
     cover of ``cand`` (an independent set takes at most one vertex of each
     clique), counted inline and only up to the point where it stops pruning.
+    A vertex with no neighbour is a clique of its own in every such cover,
+    and no other clique grows through it, so the isolated candidates are
+    counted in one popcount and the cover is grown over the rest.
     Vertices are explored in ascending label order and only strict
     improvements are recorded, so the returned witness is the
     lexicographically smallest optimum (as a sorted label tuple).
@@ -124,13 +133,15 @@ def lexmin_maximum_independent_set(
     if not (vertices is neighbors and isinstance(neighbors, NeighborMasks)):
         labels = set(vertices)
         neighbors = NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
-    order = neighbors.order
+    order, touched = neighbors.order, neighbors.touched
     nbr = [0, *neighbors.masks]  # indexed by a vertex bit's bit_length()
+    full = (1 << len(order)) - 1
+    isolated = full ^ touched
 
     best_size, best_set = 0, 0
     nodes = 0
     stack = []  # exclude children; an include child is entered at once
-    cand, size, chosen = (1 << len(order)) - 1, 0, 0
+    cand, size, chosen = full, 0, 0
     while True:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -140,10 +151,11 @@ def lexmin_maximum_independent_set(
         if cand:
             slack = best_size - size
             if cand.bit_count() > slack:
-                # Greedy clique cover, counted up to slack + 1: each clique
-                # grows from the lowest uncovered vertex through the lowest
-                # uncovered common neighbour.
-                rest, cliques = cand, 0
+                # Greedy clique cover, counted up to slack + 1: each isolated
+                # candidate is one clique; every other clique grows from the
+                # lowest uncovered vertex through the lowest uncovered common
+                # neighbour.
+                rest, cliques = cand & touched, (cand & isolated).bit_count()
                 while rest and cliques <= slack:
                     low = rest & -rest
                     rest ^= low
@@ -168,3 +180,52 @@ def lexmin_maximum_independent_set(
 
     witness = tuple(compress(order, bit_flags(best_set)))
     return best_size, witness, nodes
+
+
+def independence_number(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """α of the graph on vertices 1..n with ``edges`` (pairs of distinct
+    vertices, in either order, repeats allowed): the size only.
+
+    Branch and reduce on symmetric neighbour bitmasks, sharing no code with
+    :func:`lexmin_maximum_independent_set`: a vertex of degree 0 or 1 is in
+    some maximum independent set, so it is taken at once and its neighbour
+    dropped; with none left, the search branches on a vertex of maximum
+    degree, include child first (Tarjan & Trojanowski 1977; Akiba & Iwata
+    2016). A node that cannot beat the best size with every live vertex is
+    pruned.
+    """
+    nbr = [0] * (n + 1)
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    best = 0
+    stack = [((1 << n + 1) - 2, 0)]  # (live vertices, size taken so far)
+    while stack:
+        live, size = stack.pop()
+        # Passes over the live vertices until one takes none: a vertex of
+        # degree 0 or 1 is taken, and its neighbour dropped, on sight; the
+        # branch vertex is read off the pass that takes none.
+        taken = True
+        while taken and live:
+            taken, top, pick, rest = False, 1, 0, live
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                near = nbr[low.bit_length() - 1] & live
+                if not near & (near - 1):
+                    live ^= low | near
+                    rest &= live
+                    size += 1
+                    taken = True
+                elif not taken:
+                    degree = near.bit_count()
+                    if degree > top:
+                        top, pick = degree, low
+        if size + live.bit_count() <= best:
+            continue
+        if not live:
+            best = size
+            continue
+        stack.append((live ^ pick, size))
+        stack.append(((live & ~nbr[pick.bit_length() - 1]) ^ pick, size + 1))  # popped first
+    return best

@@ -23,13 +23,17 @@ same-position matching:
 The construction's backward direction is treated as an empirical question:
 :func:`check_equivalence` measures both implications per (graph, k) pair
 with exact oracles on both sides, and reports disagreements rather than
-assuming them away, one :class:`EquivalenceRow` per pair. Both
-constructions depend on k only through the threshold (and, for the
-two-letter one, through its case). So the rows of one graph share a
-:class:`GraphOracles`, bound to one theorem and one pair of budgets, that
-holds one entry per case: the reduced instance, α and the solver's result
-(a :class:`CaseAnswer`), or the budget error that stopped them. k sets
-only the threshold.
+assuming them away, one :class:`EquivalenceRow` per pair. The two sides run
+on engines that share no code: α on :func:`arcseq.mis.independence_number`,
+and the solver's identity route (as :func:`max_independent_set`, which also
+gives a witness) on :func:`arcseq.mis.lexmin_maximum_independent_set`. On
+T1 the instance's conflict graph is G itself, so the two sides solve one
+problem with two algorithms. Both constructions depend on k only through
+the threshold (and, for the two-letter one, through its case). So the rows
+of one graph share a :class:`GraphOracles`, bound to one theorem and one
+pair of budgets, that holds one entry per case: the reduced instance, α and
+the solver's result (a :class:`CaseAnswer`), or the budget error that
+stopped them. k sets only the threshold.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .core import (
     validate_mapping,
 )
 from .errors import BudgetError, ValidationError
-from .mis import NeighborMasks, bit_flags, lexmin_maximum_independent_set
+from .mis import NeighborMasks, bit_flags, independence_number, lexmin_maximum_independent_set
 from .solvers import SearchBudget, SolveResult, solve
 
 __all__ = [
@@ -202,6 +206,14 @@ def _check_mis_cap(cap: int) -> None:
         raise ValidationError("mis_max_vertices must be >= 0")
 
 
+def _check_mis_fits(n: int, cap: int) -> None:
+    """Raises BudgetError when a graph of n vertices is over the independent-set
+    cap. The error text is a sweep row's skip_reason, so it is written here
+    only."""
+    if n > cap:
+        raise BudgetError(f"graph with {n} vertices exceeds independent-set budget {cap}")
+
+
 def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
     """Exact maximum independent set of g by branch and bound.
 
@@ -213,10 +225,7 @@ def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
         BudgetError: g has more than max_vertices vertices.
     """
     _check_mis_cap(max_vertices)
-    if g.n > max_vertices:
-        raise BudgetError(
-            f"graph with {g.n} vertices exceeds independent-set budget {max_vertices}"
-        )
+    _check_mis_fits(g.n, max_vertices)
     masks = NeighborMasks(range(1, g.n + 1), g.edges)
     size, members, _ = lexmin_maximum_independent_set(masks, masks)
     return MaxIndependentSet(size, members)
@@ -534,7 +543,9 @@ class GraphOracles:
     or "II" for T2) and its threshold, so ``cases`` holds one entry per
     case: a :class:`CaseAnswer` or the :class:`BudgetError` that stopped
     it. An entry is filled on its case's first row: α, the same for every
-    case, is computed first and once; then the instance is built through
+    case, is computed first and once, within ``mis_max_vertices``, by
+    :func:`arcseq.mis.independence_number`, which shares no code with the
+    solver's engine; then the instance is built through
     ``REDUCTIONS[theorem]`` and solved within ``search_budget``.
 
     Raises:
@@ -557,9 +568,10 @@ class GraphOracles:
     def fill(self, case: str | None, k: int) -> CaseAnswer | BudgetError:
         """Compute and keep the entry of k's case, which the caller names."""
         if self._alpha is _ALPHA_PENDING:
+            g = self.graph
             try:
-                mis = max_independent_set(self.graph, max_vertices=self.mis_max_vertices)
-                self._alpha = mis.size
+                _check_mis_fits(g.n, self.mis_max_vertices)
+                self._alpha = independence_number(g.n, g.edges)
             except BudgetError as err:
                 self._alpha = err.with_traceback(None)
         entry = self._alpha

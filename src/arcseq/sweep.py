@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .core import _require_int
 from .errors import ArcseqError, BudgetError, ValidationError
-from .generate import exhaustive_graphs, random_graph
+from .generate import _is_probability, exhaustive_graphs, random_graph
 from .reductions import (
     EquivalenceReport,
     EquivalenceRow,
@@ -59,7 +59,9 @@ class SweepConfig:
 
     k_policy is either the string "all" (k = 1..n per graph) or a fixed
     int (not a bool). graph_source is "exhaustive" or "random"; random mode
-    draws `random_count` graphs per vertex count and requires a seed. The
+    draws `random_count` graphs per vertex count, each edge with
+    `edge_probability` (an int or a float within [0, 1], not a bool), and
+    requires a seed. The
     vertex counts, random_count and the caps are ints too: a bool or a
     float is rejected, and mis_max_vertices may not be negative.
     """
@@ -106,7 +108,7 @@ class SweepConfig:
                 raise ValidationError("random mode requires a seed")
             if type(self.random_count) is not int or self.random_count < 0:
                 raise ValidationError("random mode requires random_count >= 0")
-            if self.edge_probability is None or not 0 <= self.edge_probability <= 1:
+            if not _is_probability(self.edge_probability):
                 raise ValidationError("random mode requires 0 <= edge_probability <= 1")
         else:
             raise ValidationError(f"unknown graph source {self.graph_source!r}")
@@ -159,9 +161,9 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     Each graph is evaluated once for all its k: its rows share one
     :class:`arcseq.reductions.GraphOracles`, bound to the sweep's theorem
     and budgets, which holds one entry per case. Connectivity and the
-    independence number (one independent-set search) are computed once per
+    independence number (on the size-only engine) are computed once per
     graph, and the reduced instance is built and solved once per (graph,
-    case); k sets only the threshold. The solve is a second independent-set
+    case); k sets only the threshold. The solve is a lexmin independent-set
     search when the degree <= 2 lane declines the pair and the identity
     route of exact_search runs instead (on T1, a graph with a vertex of
     degree 3 or more), and each spot check below is one more; each reads

@@ -1,5 +1,6 @@
 """The bitset independent-set engine against the unpruned lexmin oracle and
-against the search it replaced."""
+against the search it replaced; the size-only engine against the unpruned
+oracle and the bitset engine."""
 
 import random
 from itertools import compress, count
@@ -8,12 +9,18 @@ import pytest
 
 from arcseq import BudgetError, reduce_theorem2
 from arcseq.generate import exhaustive_graphs
-from arcseq.mis import NeighborMasks, adjacency, lexmin_maximum_independent_set
+from arcseq.mis import (
+    NeighborMasks,
+    adjacency,
+    independence_number,
+    lexmin_maximum_independent_set,
+)
 from arcseq.solvers import _conflict_edges
 
 from oracles import (
     both_children_stacked_lexmin_mis,
     brute_lexmin_independent_set,
+    brute_max_independent_set,
     rank_table_masks,
 )
 
@@ -174,3 +181,52 @@ def test_same_search_on_every_6_vertex_graph_and_the_blocked_conflict_graphs():
             flags, arcs = _conflict_edges(inst.a1, inst.a2)
             candidates = list(compress(count(), flags))
             _same_search(candidates, adjacency(candidates, arcs), NeighborMasks(candidates, arcs))
+
+
+def test_same_search_on_graphs_of_mostly_isolated_vertices():
+    # The clique cover counts the isolated candidates in one popcount and
+    # grows cliques over the rest. Edgeless, one-edge and half-matching
+    # graphs of 20 to 35 vertices take that path at nearly every node; the
+    # search must still be the one that stacked both children.
+    rng = random.Random(20113)
+    for n in (20, 27, 35):
+        for vertices in (range(1, n + 1), sorted(rng.sample(range(-40, 80), n))):
+            shuffled = rng.sample(list(vertices), n)
+            half = list(zip(shuffled[0 : n // 2 : 2], shuffled[1 : n // 2 : 2]))
+            for edges in ([], [tuple(shuffled[:2])], half):
+                masks = NeighborMasks(vertices, edges)
+                assert masks.touched.bit_count() == 2 * len(edges)
+                size, _, _ = _same_search(vertices, adjacency(vertices, edges), masks)
+                assert size == n - len(edges)
+
+
+def test_independence_number_on_every_labelled_graph_up_to_n6():
+    for n in range(7):
+        for _, g in exhaustive_graphs(n):
+            assert independence_number(n, g.edges) == brute_max_independent_set(n, g.edges)
+
+
+def test_independence_number_on_seeded_graphs_up_to_the_cap():
+    # Up to the sweep's 20-vertex cap, p from 0.05 to 0.9, each edge listed
+    # either way round and some twice. The unpruned oracle tries 2^n
+    # subsets, so it checks the graphs up to 12 vertices; the bitset engine,
+    # another algorithm, checks them all.
+    rng = random.Random(20114)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(0, 20)
+        p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9))
+        cases.append((n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < p]))
+    # Edgeless, complete, and the circulant C20(1, 2), the slowest graph
+    # at the cap that was found.
+    cases += [(20, []), (20, [(u, v) for u in range(1, 21) for v in range(u + 1, 21)]),
+              (20, [(v, (v + d - 1) % 20 + 1) for v in range(1, 21) for d in (1, 2)])]
+    for n, edges in cases:
+        listed = [e if rng.random() < 0.5 else e[::-1] for e in edges] + edges[::4]
+        alpha = independence_number(n, listed)
+        masks = NeighborMasks(range(1, n + 1), edges)
+        assert alpha == lexmin_maximum_independent_set(masks, masks)[0]
+        if n <= 12:
+            assert alpha == brute_max_independent_set(n, edges)
+    assert [independence_number(n, edges) for n, edges in cases[-3:]] == [20, 1, 6]

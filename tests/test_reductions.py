@@ -585,17 +585,17 @@ class TestCheckEquivalence:
 
     def test_a_warm_row_is_one_lookup(self, monkeypatch):
         # Once a case has a row, a further row of that case works out its
-        # case and threshold once and reads its entry, with no alpha, reduce
-        # or solve call.
+        # case and threshold once and reads its entry, with no alpha cap
+        # check, alpha, reduce or solve call.
         calls = []
-        for name, attr in (("case", "_case_and_threshold"), ("mis", "max_independent_set"),
-                           ("solve", "solve")):
+        for name, attr in (("case", "_case_and_threshold"), ("cap", "_check_mis_fits"),
+                           ("mis", "independence_number"), ("solve", "solve")):
             monkeypatch.setattr(reductions, attr, recording(calls, name, getattr(reductions, attr)))
         monkeypatch.setitem(REDUCTIONS, "T2", recording(calls, "reduce", REDUCTIONS["T2"]))
         monkeypatch.setattr(GraphOracles, "fill", recording(calls, "fill", GraphOracles.fill))
         oracles = GraphOracles(TRIANGLE, "T2")
         first = check_equivalence(TRIANGLE, 1, "T2", oracles=oracles)
-        assert calls == ["case", "fill", "mis", "reduce", "case", "solve"]
+        assert calls == ["case", "fill", "cap", "mis", "reduce", "case", "solve"]
         calls.clear()
         rows = [check_equivalence(TRIANGLE, k, "T2", oracles=oracles) for k in (2, 3, 1)]
         assert calls == ["case"] * 3
@@ -609,18 +609,24 @@ class TestCheckEquivalence:
         # The T1 pair of K4 has conflict degree 3, so it goes to the identity
         # route, which the budget refuses; alpha alone fits. Oracles are
         # bound to their alpha budget, so each budget has its own, and each
-        # computes alpha and tries the solve once.
+        # checks alpha's cap, computes alpha and tries the solve once. Over
+        # the cap, alpha's engine does not run and neither does the solve.
         shared = {mis: GraphOracles(k4, "T1", solve_budget, mis) for mis in (20, 3)}
+
+        def record_alpha(m):
+            for name, attr in (("cap", "_check_mis_fits"), ("mis", "independence_number")):
+                m.setattr(reductions, attr, recording(calls, name, getattr(reductions, attr)))
+
         for mis_max_vertices, reason, expected in (
-            (20, "identity-constrained instance of length 4 exceeds budget 3", ["mis", "solve"]),
-            (3, "graph with 4 vertices exceeds independent-set budget 3", ["mis"]),
+            (20, "identity-constrained instance of length 4 exceeds budget 3",
+             ["cap", "mis", "solve"]),
+            (3, "graph with 4 vertices exceeds independent-set budget 3", ["cap"]),
             (20, "identity-constrained instance of length 4 exceeds budget 3", []),
         ):
             kwargs = {"search_budget": solve_budget, "mis_max_vertices": mis_max_vertices}
             calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(reductions, "max_independent_set",
-                          recording(calls, "mis", reductions.max_independent_set))
+                record_alpha(m)
                 m.setattr(reductions, "solve", recording(calls, "solve", reductions.solve))
                 rows = [check_equivalence(k4, k, "T1", oracles=shared[mis_max_vertices], **kwargs)
                         for k in (1, 2, 3, 4, 1)]
@@ -633,14 +639,17 @@ class TestCheckEquivalence:
         oracles = GraphOracles(k4, "T2", solve_budget, 3)
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(reductions, "max_independent_set",
-                      recording(calls, "mis", reductions.max_independent_set))
+            record_alpha(m)
             for k in (5, 1, 5, 2):
                 row = check_equivalence(k4, k, "T2", search_budget=solve_budget,
                                         mis_max_vertices=3, oracles=oracles)
                 assert row.skip_reason == "graph with 4 vertices exceeds independent-set budget 3"
-        assert calls == ["mis"]
+        assert calls == ["cap"]
         assert oracles.cases["I"] is oracles.cases["II"]
+        # The public search gives the same text, from the same check.
+        with pytest.raises(BudgetError) as info:
+            max_independent_set(k4, max_vertices=3)
+        assert str(info.value) == row.skip_reason
 
     def test_theorem_name_validated(self):
         with pytest.raises(ValidationError):

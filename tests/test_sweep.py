@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
 from arcseq import (
     Graph, ValidationError, check_equivalence, max_independent_set, reductions,
 )
-from arcseq.generate import exhaustive_graphs
+from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.solvers import SearchBudget
 from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow, GraphOracles
 from arcseq.sweep import (
@@ -66,6 +67,14 @@ SKIP_PINS = {
         "48a175607a2ce95c1d2adb1f538f35ca0a1be316fcbc923909dca83b2fc3e3dc",
         "bceb97cd7b805cecd3ee799712cba0ad94d84dc0bb6ef2b0a3dcfc8ccdcc0386",
     ),
+    # Every n = 5 row skipped by the independent-set cap, the rest completed:
+    # the bytes written while alpha still came from max_independent_set,
+    # whose over-cap text is the skip_reason.
+    ("T1", 5, "all", "mis_max_vertices=4"): (
+        {"mis_max_vertices": 4}, 5405, 5120,
+        "3633d1ad74b2d374cfa58c5eca89cea6a81035016f4c2b2989243ae65567941b",
+        "2c532cfdd40a6affedf2bcda551be75d575092f7eda6f07d70125647bdc1bf23",
+    ),
 }
 
 
@@ -120,8 +129,8 @@ def test_each_oracle_runs_once_per_graph(monkeypatch, theorem, k_policy, n_max, 
         return wrapper
 
     mis, solve, reduce = (
-        reductions.max_independent_set, reductions.solve, reductions.REDUCTIONS[theorem])
-    monkeypatch.setattr(reductions, "max_independent_set", counted("mis", mis))
+        reductions.independence_number, reductions.solve, reductions.REDUCTIONS[theorem])
+    monkeypatch.setattr(reductions, "independence_number", counted("mis", mis))
     monkeypatch.setattr(reductions, "solve", counted("solve", solve))
     monkeypatch.setitem(reductions.REDUCTIONS, theorem, counted("reduce", reduce))
     report = run_sweep(SweepConfig(theorem, (1, n_max), k_policy=k_policy))
@@ -371,11 +380,22 @@ def test_invalid_configs_rejected():
         ):
             with pytest.raises(ValidationError, match=f"mis_max_vertices {message}"):
                 build()
-    for p in (1.5, -0.1, float("nan")):
+    # The edge probability is an int or a float: a string would raise
+    # TypeError from <=, and True would be taken as 1.
+    for p in (1.5, -0.1, float("nan"), "0.5", True, False, None):
         with pytest.raises(ValidationError, match="edge_probability"):
             SweepConfig(
                 "T1", (1, 2), graph_source="random", random_count=0, edge_probability=p, seed=1
             )
+        if p is not None:
+            with pytest.raises(ValidationError, match="edge probability must be within"):
+                random_graph(random.Random(1), 3, p)
+    for p in (0, 1, 0.0, 0.5):
+        cfg = SweepConfig(
+            "T1", (1, 2), graph_source="random", random_count=0, edge_probability=p, seed=1
+        )
+        assert cfg.edge_probability == p
+        assert random_graph(random.Random(1), 3, p).n == 3
 
 
 def test_summary_renders_as_json_dumps():
