@@ -31,9 +31,9 @@ T1 the instance's conflict graph is G itself, so the two sides solve one
 problem with two algorithms. Both constructions depend on k only through
 the threshold (and, for the two-letter one, through its case). So the rows
 of one graph share a :class:`GraphOracles`, bound to one theorem and one
-pair of budgets, that holds one entry per case: the reduced instance, α and
-the solver's result (a :class:`CaseAnswer`), or the budget error that
-stopped them. k sets only the threshold.
+budget, that computes α when built and holds one entry per case: the
+reduced instance, α and the solver's result (a :class:`CaseAnswer`), or
+the budget error that stopped them. k sets only the threshold.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .core import (
 )
 from .errors import BudgetError, ValidationError
 from .mis import NeighborMasks, bit_flags, independence_number, lexmin_maximum_independent_set
-from .solvers import SearchBudget, SolveResult, solve
+from .solvers import DEFAULT_BUDGET, SearchBudget, SolveResult, solve
 
 __all__ = [
     "Graph",
@@ -199,13 +199,6 @@ class MaxIndependentSet(NamedTuple):
     vertices: tuple[int, ...]
 
 
-def _check_mis_cap(cap: int) -> None:
-    """Raises ValidationError unless the independent-set vertex cap is an int >= 0."""
-    _require_int(cap, "mis_max_vertices")
-    if cap < 0:
-        raise ValidationError("mis_max_vertices must be >= 0")
-
-
 def _check_mis_fits(n: int, cap: int) -> None:
     """Raises BudgetError when a graph of n vertices is over the independent-set
     cap. The error text is a sweep row's skip_reason, so it is written here
@@ -214,18 +207,17 @@ def _check_mis_fits(n: int, cap: int) -> None:
         raise BudgetError(f"graph with {n} vertices exceeds independent-set budget {cap}")
 
 
-def max_independent_set(g: Graph, max_vertices: int = 20) -> MaxIndependentSet:
+def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> MaxIndependentSet:
     """Exact maximum independent set of g by branch and bound.
 
     The witness is the lexicographically smallest optimum. The engine's
     neighbour bitmasks are built straight from ``g.edges``.
 
     Raises:
-        ValidationError: max_vertices is not an int, or is negative.
-        BudgetError: g has more than max_vertices vertices.
+        BudgetError: g has more than the budget's ``mis_max_vertices``
+            vertices (``DEFAULT_BUDGET``'s when budget is None).
     """
-    _check_mis_cap(max_vertices)
-    _check_mis_fits(g.n, max_vertices)
+    _check_mis_fits(g.n, (budget or DEFAULT_BUDGET).mis_max_vertices)
     masks = NeighborMasks(range(1, g.n + 1), g.edges)
     size, members, _ = lexmin_maximum_independent_set(masks, masks)
     return MaxIndependentSet(size, members)
@@ -524,57 +516,45 @@ REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 
 class CaseAnswer(NamedTuple):
     """A case's answers: its reduced instance, kept whole, α of the graph,
-    and the solver's result on the instance."""
+    and the solver's result on the instance. The instance is the one built
+    for the case's first row: its threshold and ``provenance.k`` are that
+    row's, not a later row's."""
 
     instance: ReductionInstance
     alpha: int
     result: SolveResult
 
 
-# Marks α as not computed yet: α is 0 for Graph(0), so no falsy value will do.
-_ALPHA_PENDING = object()
-
-
 class GraphOracles:
-    """One graph's oracle results for one theorem and one pair of budgets.
+    """One graph's oracle results for one theorem and one budget.
 
-    Connectivity is computed on construction and kept in ``connected``. A
-    reduced instance depends on k only through its case (None for T1, "I"
-    or "II" for T2) and its threshold, so ``cases`` holds one entry per
-    case: a :class:`CaseAnswer` or the :class:`BudgetError` that stopped
-    it. An entry is filled on its case's first row: α, the same for every
-    case, is computed first and once, within ``mis_max_vertices``, by
-    :func:`arcseq.mis.independence_number`, which shares no code with the
-    solver's engine; then the instance is built through
-    ``REDUCTIONS[theorem]`` and solved within ``search_budget``.
-
-    Raises:
-        ValidationError: mis_max_vertices is not an int, or is negative.
+    A budget of None is ``DEFAULT_BUDGET``. On construction, connectivity
+    is kept in ``connected`` and α in ``alpha``: computed within the
+    budget's ``mis_max_vertices`` by :func:`arcseq.mis.independence_number`,
+    which shares no code with the solver's engine, or else the
+    :class:`BudgetError` that stopped it. A reduced instance depends on k
+    only through its case (None for T1, "I" or "II" for T2) and threshold,
+    so ``cases`` holds one entry per case, filled on the case's first row:
+    a :class:`CaseAnswer`, whose instance (built through
+    ``REDUCTIONS[theorem]``, solved within the budget) keeps that row's
+    threshold and k, or the :class:`BudgetError` of α or of the solve.
     """
 
-    def __init__(
-        self, g: Graph, theorem: str, search_budget: SearchBudget | None = None,
-        mis_max_vertices: int = 20,
-    ):
-        _check_mis_cap(mis_max_vertices)
+    def __init__(self, g: Graph, theorem: str, search_budget: SearchBudget | None = None):
         self.graph = g
         self.theorem = theorem
-        self.search_budget = search_budget
-        self.mis_max_vertices = mis_max_vertices
+        self.search_budget = search_budget or DEFAULT_BUDGET
         self.connected = g.is_connected()
+        try:
+            _check_mis_fits(g.n, self.search_budget.mis_max_vertices)
+            self.alpha = independence_number(g.n, g.edges)
+        except BudgetError as err:
+            self.alpha = err.with_traceback(None)
         self.cases: dict[str | None, CaseAnswer | BudgetError] = {}
-        self._alpha = _ALPHA_PENDING
 
     def fill(self, case: str | None, k: int) -> CaseAnswer | BudgetError:
         """Compute and keep the entry of k's case, which the caller names."""
-        if self._alpha is _ALPHA_PENDING:
-            g = self.graph
-            try:
-                _check_mis_fits(g.n, self.mis_max_vertices)
-                self._alpha = independence_number(g.n, g.edges)
-            except BudgetError as err:
-                self._alpha = err.with_traceback(None)
-        entry = self._alpha
+        entry = self.alpha
         if not isinstance(entry, BudgetError):
             inst = REDUCTIONS[self.theorem](self.graph, k)
             try:
@@ -592,7 +572,6 @@ def check_equivalence(
     theorem: str,
     graph_id: str | None = None,
     search_budget: SearchBudget | None = None,
-    mis_max_vertices: int = 20,
     oracles: GraphOracles | None = None,
 ) -> EquivalenceRow:
     """Measure both directions of a reduction's claimed equivalence.
@@ -601,26 +580,23 @@ def check_equivalence(
     the sequence oracle, then records whether each implies the other. The
     answers come from the entry of k's case in a :class:`GraphOracles`:
     ``oracles`` when given, which must have been built for this graph,
-    theorem and pair of budgets, so that the rows of one graph compute
-    each answer once; otherwise a new one. An entry that holds a budget
-    error gives a skipped row, whose skip_reason is the error text.
+    theorem and budget (None and ``DEFAULT_BUDGET`` are one budget), so
+    that the rows of one graph compute each answer once; otherwise a new
+    one. An entry that holds a budget error gives a skipped row, whose
+    skip_reason is the error text.
 
     Raises:
         ValidationError: theorem is not "T1" or "T2", k is not an int >= 1,
-            mis_max_vertices is not an int >= 0, or oracles were built for
-            another graph, theorem or budgets.
+            or oracles were built for another graph, theorem or budget.
     """
     if theorem not in REDUCTIONS:
         raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
     case, threshold = _case_and_threshold(theorem, g.n, k)
     if oracles is None:
-        oracles = GraphOracles(g, theorem, search_budget, mis_max_vertices)
-    elif type(mis_max_vertices) is not int or (
-        oracles.graph, oracles.theorem, oracles.search_budget, oracles.mis_max_vertices
-    ) != (g, theorem, search_budget, mis_max_vertices):
-        # The oracles' cap is a checked int, so only a cap of another type
-        # can compare equal to it and still be invalid.
-        _check_mis_cap(mis_max_vertices)
+        oracles = GraphOracles(g, theorem, search_budget)
+    elif (oracles.graph, oracles.theorem, oracles.search_budget) != (
+        g, theorem, search_budget or DEFAULT_BUDGET
+    ):
         raise ValidationError("oracles were built for another graph, theorem or budgets")
     if graph_id is None:
         graph_id = default_graph_id(g)

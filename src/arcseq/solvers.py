@@ -49,7 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Hard limits for :func:`exact_search`.
+    """Hard limits for :func:`exact_search` and the graph side of
+    :mod:`arcseq.reductions`, checked here only.
 
     Exceeding a limit raises BudgetError; there is no silent truncation.
 
@@ -58,6 +59,8 @@ class SearchBudget:
         max_identity_length: cap on sequence length for identity-constrained
             instances (fragment(1) / diagonal(0)).
         max_nodes: optional cap on explored search nodes.
+        mis_max_vertices: cap on the vertex count of a graph whose
+            independence number or maximum independent set is computed.
 
     Raises:
         ValidationError: a cap is not an int, a cap is negative, or max_nodes
@@ -67,16 +70,19 @@ class SearchBudget:
     max_cells: int = 400
     max_identity_length: int = 64
     max_nodes: int | None = None
+    mis_max_vertices: int = 20
 
     def __post_init__(self):
         _require_int(self.max_cells, "max_cells")
         _require_int(self.max_identity_length, "max_identity_length")
+        _require_int(self.mis_max_vertices, "mis_max_vertices")
         if self.max_nodes is not None:
             _require_int(self.max_nodes, "max_nodes")
-        if self.max_cells < 0 or self.max_identity_length < 0:
+        if min(self.max_cells, self.max_identity_length, self.mis_max_vertices) < 0:
             raise ValidationError(
                 f"search budget caps must be >= 0, got max_cells={self.max_cells}, "
-                f"max_identity_length={self.max_identity_length}"
+                f"max_identity_length={self.max_identity_length}, "
+                f"mis_max_vertices={self.mis_max_vertices}"
             )
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValidationError(f"max_nodes must be >= 1, got {self.max_nodes}")

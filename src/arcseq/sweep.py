@@ -30,7 +30,6 @@ from .reductions import (
     REDUCTIONS,
     ROW_FIELDS,
     _case_and_threshold,
-    _check_mis_cap,
     check_equivalence,
 )
 from .solvers import SearchBudget, exact_search
@@ -55,15 +54,15 @@ SPOT_CHECK_STRIDE = 10
 
 @dataclass
 class SweepConfig:
-    """What to sweep and within which budgets.
+    """What to sweep and within which budget.
 
     k_policy is either the string "all" (k = 1..n per graph) or a fixed
     int (not a bool). graph_source is "exhaustive" or "random"; random mode
     draws `random_count` graphs per vertex count, each edge with
     `edge_probability` (an int or a float within [0, 1], not a bool), and
-    requires a seed. The
-    vertex counts, random_count and the caps are ints too: a bool or a
-    float is rejected, and mis_max_vertices may not be negative.
+    requires a seed. The vertex counts, random_count and max_exhaustive_n
+    are ints too: a bool or a float is rejected. Every cap of the two
+    oracles is a field of search_budget, which checks them.
     """
 
     theorem: str
@@ -74,7 +73,6 @@ class SweepConfig:
     edge_probability: float | None = None
     seed: int | None = None
     search_budget: SearchBudget = field(default_factory=SearchBudget)
-    mis_max_vertices: int = 20
     max_exhaustive_n: int | None = None
     output_csv: Path | None = None
 
@@ -89,7 +87,6 @@ class SweepConfig:
                 raise ValidationError("fixed k must be >= 1")
         elif self.k_policy != "all":
             raise ValidationError("k_policy must be 'all' or a positive integer")
-        _check_mis_cap(self.mis_max_vertices)
         if self.max_exhaustive_n is not None:
             _require_int(self.max_exhaustive_n, "max_exhaustive_n")
             if self.max_exhaustive_n < 1:
@@ -131,7 +128,7 @@ class SweepConfig:
             "random_count": self.random_count,
             "edge_probability": self.edge_probability,
             "seed": self.seed,
-            "budget": {**asdict(self.search_budget), "mis_max_vertices": self.mis_max_vertices},
+            "budget": asdict(self.search_budget),
         }
 
 
@@ -160,7 +157,7 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
 
     Each graph is evaluated once for all its k: its rows share one
     :class:`arcseq.reductions.GraphOracles`, bound to the sweep's theorem
-    and budgets, which holds one entry per case. Connectivity and the
+    and budget, which holds one entry per case. Connectivity and the
     independence number (on the size-only engine) are computed once per
     graph, and the reduced instance is built and solved once per (graph,
     case); k sets only the threshold. The solve is a lexmin independent-set
@@ -180,16 +177,10 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     rows: list[EquivalenceRow] = []
     spot = {"sampled": 0, "verified": 0, "budget_skipped": 0}
     for gid, g in _iter_graphs(cfg):
-        oracles = GraphOracles(g, cfg.theorem, cfg.search_budget, cfg.mis_max_vertices)
+        oracles = GraphOracles(g, cfg.theorem, cfg.search_budget)
         for k in _ks(cfg, g.n):
             row = check_equivalence(
-                g,
-                k,
-                cfg.theorem,
-                graph_id=gid,
-                search_budget=cfg.search_budget,
-                mis_max_vertices=cfg.mis_max_vertices,
-                oracles=oracles,
+                g, k, cfg.theorem, graph_id=gid, search_budget=cfg.search_budget, oracles=oracles
             )
             if len(rows) % SPOT_CHECK_STRIDE == 0 and not row.skipped:
                 inst = oracles.cases[_case_and_threshold(cfg.theorem, g.n, k)[0]].instance

@@ -268,6 +268,28 @@ class TestSweep:
                      "--out", str(out), "--budget-nodes", "1"])
         assert code == 2
 
+    def test_default_independent_set_cap(self, tmp_path, capsys):
+        # No option sets the independent-set cap, so each row of a 21-vertex
+        # graph is skipped under the default budget's cap of 20: exit code
+        # 2, the counts line and the files, the bytes ce2a952 wrote.
+        out = tmp_path / "r21.csv"
+        code = main(["sweep", "--theorem", "1", "--n-min", "21", "--n-max", "21",
+                     "--random", "2", "--edge-prob", "0.5", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "rows=42 skipped=42 forward_failures=0 backward_failures=0\n"
+        )
+        summary_path = out.with_suffix(".summary.json")
+        summary = json.loads(summary_path.read_text())
+        assert summary["config"]["budget"]["mis_max_vertices"] == 20
+        assert {r["reason"] for r in summary["skipped_rows"]} == {
+            "graph with 21 vertices exceeds independent-set budget 20"
+        }
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, summary_path)] == [
+            "811b5494d25977f12aec1e4c14162cda51df532e25a6739410fa32420b3e300d",
+            "51360d07b9b468e25fae497ddc6bd701cdae8b64104dd79a27645021e59209cc",
+        ]
+
     @pytest.mark.parametrize(
         "flags,line,code",
         [

@@ -191,7 +191,7 @@ class TestMaxIndependentSet:
     def test_budget(self):
         with pytest.raises(BudgetError):
             max_independent_set(Graph(21))
-        assert max_independent_set(Graph(21), max_vertices=21).size == 21
+        assert max_independent_set(Graph(21), SearchBudget(mis_max_vertices=21)).size == 21
 
     def test_matches_bitmask_oracle_up_to_n4(self):
         for n in range(5):
@@ -481,19 +481,22 @@ class TestCheckEquivalence:
         assert row.n == 3 and row.m == 1 and not row.connected
 
     def test_budget_marks_row_skipped(self):
-        row = check_equivalence(Graph(6), 1, "T1", mis_max_vertices=5)
+        row = check_equivalence(Graph(6), 1, "T1", search_budget=SearchBudget(mis_max_vertices=5))
         assert row.skipped and "budget" in row.skip_reason
         assert row.is_answer is None and row.lapcs_len is None
         assert row.threshold == 1
 
     def test_shared_oracles_give_the_same_rows(self):
         # k = 1..n+1 crosses the T2 case I/II boundary; the first k seen
-        # builds a case's entry, so each order fills the entries differently.
+        # builds a case's entry, so each order fills the entries differently,
+        # and the kept instance carries that first k and its threshold while
+        # each row carries its own.
         # Graph(0) has alpha 0; under max_nodes=1 alpha succeeds and the
         # solve fails wherever the pair reaches the search.
         rng = random.Random(7)
         reasons = set()
-        budgets = ({}, {"mis_max_vertices": 2}, {"search_budget": SearchBudget(max_nodes=1)})
+        budgets = ({}, {"search_budget": SearchBudget(mis_max_vertices=2)},
+                   {"search_budget": SearchBudget(max_nodes=1)})
         for theorem in ("T1", "T2"):
             for budget in budgets:
                 for n in range(0, 5):
@@ -503,6 +506,7 @@ class TestCheckEquivalence:
                         fresh = {k: check_equivalence(g, k, theorem, **budget) for k in ks}
                         for order in (ks, ks[::-1], shuffled):
                             oracles = GraphOracles(g, theorem, **budget)
+                            first_k = {}
                             for k in order:
                                 row = check_equivalence(g, k, theorem, oracles=oracles, **budget)
                                 assert row == fresh[k]
@@ -517,6 +521,9 @@ class TestCheckEquivalence:
                                 kept = entry.instance
                                 assert (kept.a1, kept.a2, kept.mc) == (inst.a1, inst.a2, inst.mc)
                                 assert kept.provenance.case == case
+                                assert (row.threshold, kept.provenance.k) == (
+                                    inst.threshold, first_k.setdefault(case, k)
+                                )
                                 assert entry.alpha == max_independent_set(g).size
                                 assert entry.result.length == row.lapcs_len
                             with pytest.raises(ValidationError):
@@ -528,17 +535,17 @@ class TestCheckEquivalence:
     def test_oracles_of_another_graph_rejected(self):
         with pytest.raises(ValidationError, match="another graph"):
             check_equivalence(TRIANGLE, 1, "T1", oracles=GraphOracles(PATH3, "T1"))
-        # Oracles are bound to one theorem and one pair of budgets too.
-        budget = SearchBudget(max_nodes=9)
-        oracles = GraphOracles(TRIANGLE, "T1", budget, 5)
+        # Oracles are bound to one theorem and one budget too.
+        budget = SearchBudget(max_nodes=9, mis_max_vertices=5)
+        oracles = GraphOracles(TRIANGLE, "T1", budget)
         assert check_equivalence(
-            TRIANGLE, 1, "T1", search_budget=budget, mis_max_vertices=5, oracles=oracles
-        ) == check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, mis_max_vertices=5)
+            TRIANGLE, 1, "T1", search_budget=budget, oracles=oracles
+        ) == check_equivalence(TRIANGLE, 1, "T1", search_budget=budget)
         for other in (
-            {"theorem": "T2", "search_budget": budget, "mis_max_vertices": 5},
-            {"theorem": "T1", "search_budget": SearchBudget(max_nodes=10), "mis_max_vertices": 5},
-            {"theorem": "T1", "search_budget": None, "mis_max_vertices": 5},
-            {"theorem": "T1", "search_budget": budget, "mis_max_vertices": 6},
+            {"theorem": "T2", "search_budget": budget},
+            {"theorem": "T1", "search_budget": SearchBudget(max_nodes=10, mis_max_vertices=5)},
+            {"theorem": "T1", "search_budget": SearchBudget(mis_max_vertices=5)},
+            {"theorem": "T1", "search_budget": SearchBudget(max_nodes=9, mis_max_vertices=6)},
             {"theorem": "T1"},
         ):
             with pytest.raises(ValidationError, match="theorem or budgets"):
@@ -566,27 +573,35 @@ class TestCheckEquivalence:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(reductions, "solve", counting_solve)
-        oracles = GraphOracles(TRIANGLE, "T1", SearchBudget())
         # k = 1 and 2 are one T1 case, so the rows share one entry, and equal
-        # budgets built apart use the same oracles.
-        for k, budget in ((1, SearchBudget()), (2, SearchBudget()), (1, SearchBudget(400, 64))):
-            row = check_equivalence(TRIANGLE, k, "T1", search_budget=budget, oracles=oracles)
-            assert row.lapcs_len == 1
-        assert solves == [SearchBudget()]
-        for budget in (SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None):
+        # budgets built apart use the same oracles. None is the default
+        # budget, whichever side gives it.
+        for built_with in (SearchBudget(), None):
+            solves.clear()
+            oracles = GraphOracles(TRIANGLE, "T1", built_with)
+            for k, budget in ((1, SearchBudget()), (2, SearchBudget()),
+                              (1, SearchBudget(400, 64)), (2, None),
+                              (1, SearchBudget(400, 64, None, 20))):
+                row = check_equivalence(TRIANGLE, k, "T1", search_budget=budget, oracles=oracles)
+                assert row.lapcs_len == 1
+            assert solves == [SearchBudget()]
+        for budget in (SearchBudget(max_nodes=50), SearchBudget(max_cells=10),
+                       SearchBudget(mis_max_vertices=5)):
             with pytest.raises(ValidationError, match="budgets"):
                 check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, oracles=oracles)
             own = GraphOracles(TRIANGLE, "T1", budget)
             check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, oracles=own)
             check_equivalence(TRIANGLE, 2, "T1", search_budget=budget, oracles=own)
         assert solves == [
-            SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10), None
+            SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10),
+            SearchBudget(mis_max_vertices=5),
         ]
 
     def test_a_warm_row_is_one_lookup(self, monkeypatch):
-        # Once a case has a row, a further row of that case works out its
-        # case and threshold once and reads its entry, with no alpha cap
-        # check, alpha, reduce or solve call.
+        # Alpha's cap check and alpha run when the oracles are built. Once a
+        # case has a row, a further row of that case works out its case and
+        # threshold once and reads its entry, with no alpha cap check,
+        # alpha, reduce or solve call.
         calls = []
         for name, attr in (("case", "_case_and_threshold"), ("cap", "_check_mis_fits"),
                            ("mis", "independence_number"), ("solve", "solve")):
@@ -594,8 +609,10 @@ class TestCheckEquivalence:
         monkeypatch.setitem(REDUCTIONS, "T2", recording(calls, "reduce", REDUCTIONS["T2"]))
         monkeypatch.setattr(GraphOracles, "fill", recording(calls, "fill", GraphOracles.fill))
         oracles = GraphOracles(TRIANGLE, "T2")
+        assert calls == ["cap", "mis"]
+        calls.clear()
         first = check_equivalence(TRIANGLE, 1, "T2", oracles=oracles)
-        assert calls == ["case", "fill", "cap", "mis", "reduce", "case", "solve"]
+        assert calls == ["case", "fill", "reduce", "case", "solve"]
         calls.clear()
         rows = [check_equivalence(TRIANGLE, k, "T2", oracles=oracles) for k in (2, 3, 1)]
         assert calls == ["case"] * 3
@@ -604,14 +621,15 @@ class TestCheckEquivalence:
 
     def test_budget_errors_are_kept_per_case_and_alpha_fails_first(self, monkeypatch):
         k4 = Graph(4, combinations(range(1, 5), 2))
-        solve_budget = SearchBudget(max_identity_length=3)
         calls = []
         # The T1 pair of K4 has conflict degree 3, so it goes to the identity
         # route, which the budget refuses; alpha alone fits. Oracles are
-        # bound to their alpha budget, so each budget has its own, and each
-        # checks alpha's cap, computes alpha and tries the solve once. Over
-        # the cap, alpha's engine does not run and neither does the solve.
-        shared = {mis: GraphOracles(k4, "T1", solve_budget, mis) for mis in (20, 3)}
+        # bound to their budget, alpha cap included, so each budget has its
+        # own, which checks alpha's cap and computes alpha when it is built,
+        # and tries the solve once. Over the cap, alpha's engine does not run
+        # and neither does the solve.
+        budgets = {mis: SearchBudget(max_identity_length=3, mis_max_vertices=mis) for mis in (20, 3)}
+        shared = {}
 
         def record_alpha(m):
             for name, attr in (("cap", "_check_mis_fits"), ("mis", "independence_number")):
@@ -623,11 +641,13 @@ class TestCheckEquivalence:
             (3, "graph with 4 vertices exceeds independent-set budget 3", ["cap"]),
             (20, "identity-constrained instance of length 4 exceeds budget 3", []),
         ):
-            kwargs = {"search_budget": solve_budget, "mis_max_vertices": mis_max_vertices}
+            kwargs = {"search_budget": budgets[mis_max_vertices]}
             calls.clear()
             with monkeypatch.context() as m:
                 record_alpha(m)
                 m.setattr(reductions, "solve", recording(calls, "solve", reductions.solve))
+                if mis_max_vertices not in shared:
+                    shared[mis_max_vertices] = GraphOracles(k4, "T1", **kwargs)
                 rows = [check_equivalence(k4, k, "T1", oracles=shared[mis_max_vertices], **kwargs)
                         for k in (1, 2, 3, 4, 1)]
             assert calls == expected
@@ -636,19 +656,18 @@ class TestCheckEquivalence:
                 assert row.skip_reason == reason
         # An alpha error is kept for every case: T2's cases I and II both
         # read the one failed search.
-        oracles = GraphOracles(k4, "T2", solve_budget, 3)
         calls.clear()
         with monkeypatch.context() as m:
             record_alpha(m)
+            oracles = GraphOracles(k4, "T2", budgets[3])
             for k in (5, 1, 5, 2):
-                row = check_equivalence(k4, k, "T2", search_budget=solve_budget,
-                                        mis_max_vertices=3, oracles=oracles)
+                row = check_equivalence(k4, k, "T2", search_budget=budgets[3], oracles=oracles)
                 assert row.skip_reason == "graph with 4 vertices exceeds independent-set budget 3"
         assert calls == ["cap"]
         assert oracles.cases["I"] is oracles.cases["II"]
         # The public search gives the same text, from the same check.
         with pytest.raises(BudgetError) as info:
-            max_independent_set(k4, max_vertices=3)
+            max_independent_set(k4, budgets[3])
         assert str(info.value) == row.skip_reason
 
     def test_theorem_name_validated(self):

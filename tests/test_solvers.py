@@ -504,21 +504,27 @@ class TestExactSearch:
                     {"max_nodes": 0}, {"max_nodes": -3},
                     {"max_nodes": 2.5}, {"max_nodes": True}, {"max_cells": 1.5},
                     {"max_cells": "9"}, {"max_identity_length": 64.0},
-                    {"max_identity_length": None}):
+                    {"max_identity_length": None}, {"mis_max_vertices": -1},
+                    {"mis_max_vertices": 20.0}, {"mis_max_vertices": True},
+                    {"mis_max_vertices": None}):
             with pytest.raises(ValidationError):
                 SearchBudget(**bad)
         assert SearchBudget(max_cells=0, max_identity_length=0, max_nodes=1).max_nodes == 1
+        assert SearchBudget(mis_max_vertices=0).mis_max_vertices == 0
 
     def test_budget_is_a_frozen_value(self):
         budget = SearchBudget(max_nodes=9)
         twin, other = SearchBudget(400, 64, 9), SearchBudget(max_nodes=10)
         assert budget == twin and hash(budget) == hash(twin)
         assert budget != other and {budget: 1}.get(other) is None
-        assert repr(budget) == "SearchBudget(max_cells=400, max_identity_length=64, max_nodes=9)"
+        assert budget != dataclasses.replace(budget, mis_max_vertices=5)
+        assert repr(budget) == (
+            "SearchBudget(max_cells=400, max_identity_length=64, max_nodes=9, mis_max_vertices=20)"
+        )
         assert dataclasses.replace(budget, max_nodes=10) == other
         assert hash(dataclasses.replace(budget, max_nodes=10)) == hash(other)
         assert [f.name for f in dataclasses.fields(budget)] == [
-            "max_cells", "max_identity_length", "max_nodes"
+            "max_cells", "max_identity_length", "max_nodes", "mis_max_vertices"
         ]
         with pytest.raises(dataclasses.FrozenInstanceError):
             budget.max_nodes = 10

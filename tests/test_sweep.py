@@ -7,12 +7,10 @@ import random
 
 import pytest
 
-from arcseq import (
-    Graph, ValidationError, check_equivalence, max_independent_set, reductions,
-)
+from arcseq import ValidationError, check_equivalence, reductions
 from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.solvers import SearchBudget
-from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow, GraphOracles
+from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow
 from arcseq.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -58,7 +56,7 @@ SKIP_PINS = {
         "81fde94330b4b3a4485987f9c88c61adf1d628b2d755547564f584ef5bb2f9b1",
     ),
     ("T2", 4, "all", "mis_max_vertices=3"): (
-        {"mis_max_vertices": 3}, 285, 256,
+        {"search_budget": SearchBudget(mis_max_vertices=3)}, 285, 256,
         "b82faa40b55dbef44dbe13e1a91fc625f8fbe8a7b9a8762b868d5adad2a105cc",
         "2d98a87e82a16b4c60e9dd8e25d9bf16fdcfdb4b3d99bafbdd3de21848197817",
     ),
@@ -71,7 +69,7 @@ SKIP_PINS = {
     # the bytes written while alpha still came from max_independent_set,
     # whose over-cap text is the skip_reason.
     ("T1", 5, "all", "mis_max_vertices=4"): (
-        {"mis_max_vertices": 4}, 5405, 5120,
+        {"search_budget": SearchBudget(mis_max_vertices=4)}, 5405, 5120,
         "3633d1ad74b2d374cfa58c5eca89cea6a81035016f4c2b2989243ae65567941b",
         "2c532cfdd40a6affedf2bcda551be75d575092f7eda6f07d70125647bdc1bf23",
     ),
@@ -99,7 +97,7 @@ def test_skip_heavy_outputs_match_pinned_bytes(tmp_path, key):
         ("T1", "all", {}),
         ("T2", "all", {}),
         ("T2", 3, {}),  # k > n for n < 3: the T2 case I instance
-        ("T1", "all", {"mis_max_vertices": 2}),
+        ("T1", "all", {"search_budget": SearchBudget(mis_max_vertices=2)}),
         ("T1", "all", {"search_budget": SearchBudget(max_nodes=1)}),
     ],
 )
@@ -241,7 +239,7 @@ def test_skipped_rows_rendered_distinctly(tmp_path):
         "T1",
         (3, 3),
         k_policy=1,
-        mis_max_vertices=2,
+        search_budget=SearchBudget(mis_max_vertices=2),
         output_csv=tmp_path / "skip.csv",
     )
     report = run_sweep(cfg)
@@ -262,7 +260,9 @@ def test_csv_lines_are_the_row_cells():
     # the bools of a flag column and a bool among ints.
     completed = run_sweep(SweepConfig("T1", (1, 3))).rows
     assert completed and not any(r.skipped for r in completed)
-    rows = completed + run_sweep(SweepConfig("T1", (3, 3), k_policy=1, mis_max_vertices=2)).rows
+    rows = completed + run_sweep(
+        SweepConfig("T1", (3, 3), k_policy=1, search_budget=SearchBudget(mis_max_vertices=2))
+    ).rows
     rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1))
     assert any(r.skipped for r in rows) and not all(r.skipped for r in rows)
     for r in rows:
@@ -302,12 +302,12 @@ def test_counts_are_the_summary_tallies(cfg):
 
 
 def test_budget_echo_is_the_search_budget_fields():
+    # The independent-set cap is the budget's last field, so the echo is
+    # the budget's fields alone, and the summary's sorted keys keep it last.
     cfg = SweepConfig("T1", (1, 2), search_budget=SearchBudget(max_cells=9, max_nodes=5))
     fields = [f.name for f in dataclasses.fields(SearchBudget)]
-    assert cfg.config_echo()["budget"] == {
-        **{name: getattr(cfg.search_budget, name) for name in fields},
-        "mis_max_vertices": 20,
-    }
+    assert fields[-1] == "mis_max_vertices"
+    assert cfg.config_echo()["budget"] == {name: getattr(cfg.search_budget, name) for name in fields}
 
 
 def test_node_budget_skips_hard_rows():
@@ -356,30 +356,23 @@ def test_invalid_configs_rejected():
                 "T1", (1, 2), graph_source="random", random_count=count, edge_probability=0.5,
                 seed=1,
             )
-    for field_name in ("mis_max_vertices", "max_exhaustive_n"):
-        for value in (20.0, True, "20", -1):
-            with pytest.raises(ValidationError, match=field_name):
-                SweepConfig("T1", (1, 2), **{field_name: value})
-    assert SweepConfig("T1", (1, 2), mis_max_vertices=0).mis_max_vertices == 0
-    # The independent-set cap is checked, with the same messages, wherever
-    # it is taken: a float or a bool would otherwise be compared as a
-    # number, and a string would raise TypeError. With shared oracles built
-    # for a cap of 1, True and 1.0 compare equal to that cap and are still
-    # rejected.
-    g = Graph(3, {(1, 2)})
-    shared = GraphOracles(g, "T1", None, 1)
-    for value, message in ((3.5, "must be an integer"), (True, "must be an integer"),
-                           (1.0, "must be an integer"), ("3", "must be an integer"),
-                           (-1, "must be >= 0")):
-        for build in (
-            lambda: SweepConfig("T1", (1, 2), mis_max_vertices=value),
-            lambda: max_independent_set(g, max_vertices=value),
-            lambda: GraphOracles(g, "T1", None, value),
-            lambda: check_equivalence(g, 1, "T1", mis_max_vertices=value),
-            lambda: check_equivalence(g, 1, "T1", mis_max_vertices=value, oracles=shared),
-        ):
-            with pytest.raises(ValidationError, match=f"mis_max_vertices {message}"):
-                build()
+    for value in (20.0, True, "20", -1):
+        with pytest.raises(ValidationError, match="max_exhaustive_n"):
+            SweepConfig("T1", (1, 2), max_exhaustive_n=value)
+    cfg = SweepConfig("T1", (1, 2), search_budget=SearchBudget(mis_max_vertices=0))
+    assert cfg.search_budget.mis_max_vertices == 0
+    # The independent-set cap is a SearchBudget field, checked where the
+    # budget is built and nowhere else: a float or a bool would otherwise
+    # be compared as a number, and a string would raise TypeError. True and
+    # 1.0 would compare equal to a cap of 1.
+    for value, message in ((3.5, "mis_max_vertices must be an integer"),
+                           (True, "mis_max_vertices must be an integer"),
+                           (1.0, "mis_max_vertices must be an integer"),
+                           ("3", "mis_max_vertices must be an integer"),
+                           (20.0, "mis_max_vertices must be an integer"),
+                           (-1, "caps must be >= 0, .*mis_max_vertices=-1")):
+        with pytest.raises(ValidationError, match=message):
+            SearchBudget(mis_max_vertices=value)
     # The edge probability is an int or a float: a string would raise
     # TypeError from <=, and True would be taken as 1.
     for p in (1.5, -0.1, float("nan"), "0.5", True, False, None):
