@@ -243,9 +243,6 @@ class Mapping:
     def __iter__(self):
         return iter(self.pairs)
 
-    def inverse(self) -> "Mapping":
-        return Mapping(tuple((j, i) for i, j in self.pairs))
-
 
 def validate_mapping(m: Mapping, a1: AnnotatedSequence, a2: AnnotatedSequence) -> None:
     """Check m against a concrete pair of sequences.

@@ -59,7 +59,7 @@ from .core import (
 )
 from .errors import BudgetError, ValidationError
 from .mis import NeighborMasks, bit_flags, independence_number, lexmin_maximum_independent_set
-from .solvers import DEFAULT_BUDGET, SearchBudget, SolveResult, solve
+from .solvers import SearchBudget, SolveResult, _resolve_budget, solve
 
 __all__ = [
     "Graph",
@@ -215,9 +215,9 @@ def max_independent_set(g: Graph, budget: SearchBudget | None = None) -> MaxInde
 
     Raises:
         BudgetError: g has more than the budget's ``mis_max_vertices``
-            vertices (``DEFAULT_BUDGET``'s when budget is None).
+            vertices.
     """
-    _check_mis_fits(g.n, (budget or DEFAULT_BUDGET).mis_max_vertices)
+    _check_mis_fits(g.n, _resolve_budget(budget).mis_max_vertices)
     masks = NeighborMasks(range(1, g.n + 1), g.edges)
     size, members, _ = lexmin_maximum_independent_set(masks, masks)
     return MaxIndependentSet(size, members)
@@ -488,14 +488,10 @@ class EquivalenceReport:
         failed = counts["forward_failures"] or counts["backward_failures"]
         return [r for r in done if r.counterexample] if failed else [], skipped, counts
 
-    def summary(self) -> dict:
-        """The theorem, :meth:`counts`, and the counterexample and skipped rows."""
-        payload = self._summary_rows()
-        payload["counterexamples"] = [dict(zip(ROW_FIELDS, r)) for r in payload["counterexamples"]]
-        return payload
-
     def _summary_rows(self) -> dict:
-        """:meth:`summary`, each counterexample left as its row tuple."""
+        """The summary file's report part: the theorem, :meth:`counts`, the
+        counterexamples as row tuples, and each skipped row's graph, k and
+        reason."""
         counterexamples, skipped, counts = self._tallies()
         return {
             "theorem": self.theorem,
@@ -514,6 +510,12 @@ def default_graph_id(g: Graph) -> str:
 REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 
 
+def _check_theorem(theorem: str) -> None:
+    """Raises ValidationError unless theorem names a reduction, "T1" or "T2"."""
+    if not isinstance(theorem, str) or theorem not in REDUCTIONS:
+        raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
+
+
 class CaseAnswer(NamedTuple):
     """A case's answers: its reduced instance, kept whole, α of the graph,
     and the solver's result on the instance. The instance is the one built
@@ -528,22 +530,23 @@ class CaseAnswer(NamedTuple):
 class GraphOracles:
     """One graph's oracle results for one theorem and one budget.
 
-    A budget of None is ``DEFAULT_BUDGET``. On construction, connectivity
-    is kept in ``connected`` and α in ``alpha``: computed within the
-    budget's ``mis_max_vertices`` by :func:`arcseq.mis.independence_number`,
-    which shares no code with the solver's engine, or else the
-    :class:`BudgetError` that stopped it. A reduced instance depends on k
-    only through its case (None for T1, "I" or "II" for T2) and threshold,
-    so ``cases`` holds one entry per case, filled on the case's first row:
-    a :class:`CaseAnswer`, whose instance (built through
-    ``REDUCTIONS[theorem]``, solved within the budget) keeps that row's
-    threshold and k, or the :class:`BudgetError` of α or of the solve.
+    On construction, connectivity is kept in ``connected`` and α in
+    ``alpha``: computed within the budget's ``mis_max_vertices`` by
+    :func:`arcseq.mis.independence_number`, which shares no code with the
+    solver's engine, or else the :class:`BudgetError` that stopped it. A
+    reduced instance depends on k only through its case (None for T1, "I"
+    or "II" for T2) and threshold, so ``cases`` holds one entry per case,
+    filled on the case's first row: a :class:`CaseAnswer`, whose instance
+    (built through ``REDUCTIONS[theorem]``, solved within the budget) keeps
+    that row's threshold and k, or the :class:`BudgetError` of α or of the
+    solve.
     """
 
     def __init__(self, g: Graph, theorem: str, search_budget: SearchBudget | None = None):
+        _check_theorem(theorem)
         self.graph = g
         self.theorem = theorem
-        self.search_budget = search_budget or DEFAULT_BUDGET
+        self.search_budget = _resolve_budget(search_budget)
         self.connected = g.is_connected()
         try:
             _check_mis_fits(g.n, self.search_budget.mis_max_vertices)
@@ -580,40 +583,37 @@ def check_equivalence(
     the sequence oracle, then records whether each implies the other. The
     answers come from the entry of k's case in a :class:`GraphOracles`:
     ``oracles`` when given, which must have been built for this graph,
-    theorem and budget (None and ``DEFAULT_BUDGET`` are one budget), so
-    that the rows of one graph compute each answer once; otherwise a new
-    one. An entry that holds a budget error gives a skipped row, whose
-    skip_reason is the error text.
+    theorem and budget, so that the rows of one graph compute each answer
+    once; otherwise a new one. An entry that holds a budget error gives a
+    skipped row, whose skip_reason is the error text.
 
     Raises:
         ValidationError: theorem is not "T1" or "T2", k is not an int >= 1,
             or oracles were built for another graph, theorem or budget.
     """
-    if theorem not in REDUCTIONS:
-        raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
+    _check_theorem(theorem)
     case, threshold = _case_and_threshold(theorem, g.n, k)
+    search_budget = _resolve_budget(search_budget)
     if oracles is None:
         oracles = GraphOracles(g, theorem, search_budget)
-    elif (oracles.graph, oracles.theorem, oracles.search_budget) != (
-        g, theorem, search_budget or DEFAULT_BUDGET
-    ):
+    elif (oracles.graph, oracles.theorem, oracles.search_budget) != (g, theorem, search_budget):
         raise ValidationError("oracles were built for another graph, theorem or budgets")
     if graph_id is None:
         graph_id = default_graph_id(g)
     entry = oracles.cases.get(case) or oracles.fill(case, k)
-    # Rows are built positionally, in field order: a NamedTuple binds
-    # keywords far slower.
+    # A row is the tuple of its fields in order, made by tuple.__new__: the
+    # NamedTuple's constructor binds arguments in a Python frame, far slower.
     if isinstance(entry, BudgetError):
-        return EquivalenceRow(
-            graph_id, g.n, g.m, oracles.connected, k, None, None, threshold, None, None, None,
-            str(entry),
-        )
+        return tuple.__new__(EquivalenceRow, (
+            graph_id, g.n, len(g.edges), oracles.connected, k, None, None, threshold, None, None,
+            None, str(entry),
+        ))
     lapcs_len = entry.result.length
     is_answer = entry.alpha >= k
     lapcs_answer = lapcs_len >= threshold
     forward_ok = (not is_answer) or lapcs_answer
     backward_ok = (not lapcs_answer) or is_answer
-    return EquivalenceRow(
-        graph_id, g.n, g.m, oracles.connected, k, is_answer, lapcs_len, threshold,
-        lapcs_answer, forward_ok, backward_ok,
-    )
+    return tuple.__new__(EquivalenceRow, (
+        graph_id, g.n, len(g.edges), oracles.connected, k, is_answer, lapcs_len, threshold,
+        lapcs_answer, forward_ok, backward_ok, None,
+    ))

@@ -13,13 +13,9 @@ Three routes, all exact:
   conflict graph has maximum degree 2, its components are paths and cycles,
   and one linear walk gives each component's lexmin optimum: a closed form
   up to 3 vertices (and for any odd path), one scan for a longer even path.
-  It walks two flat neighbour slots per position, not a neighbour map, and
-  takes isolated vertices and paths of 2 or 3 vertices without a walk.
 * :func:`exact_search` -- pruned exhaustive search, the universal
-  small-instance oracle. Its identity route builds the engine's
-  neighbour bitmasks straight from the conflict edges; no solver reads
-  :func:`build_conflict_graph`'s neighbour map. Both identity routes take
-  the candidates and conflict edges from :func:`_conflict_edges`.
+  small-instance oracle. Both identity routes take the candidates and
+  conflict edges from :func:`_conflict_edges`.
 
 :func:`solve` dispatches between them. Every solver returns the
 lexicographically smallest optimal witness (pair list sorted by S1 position,
@@ -53,6 +49,8 @@ class SearchBudget:
     :mod:`arcseq.reductions`, checked here only.
 
     Exceeding a limit raises BudgetError; there is no silent truncation.
+    Every entry point that takes a budget accepts None (``DEFAULT_BUDGET``)
+    or a SearchBudget; anything else is a ValidationError there.
 
     Attributes:
         max_cells: cap on len(s1) * len(s2) for windowed/unconstrained search.
@@ -89,6 +87,15 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+
+def _resolve_budget(budget: SearchBudget | None) -> SearchBudget:
+    """DEFAULT_BUDGET for None, budget for a SearchBudget, else ValidationError."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if not isinstance(budget, SearchBudget):
+        raise ValidationError(f"budget must be None or a SearchBudget, got {budget!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -269,9 +276,7 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     state bytes. Paths start only at their smaller end; one of 2 vertices
     takes that end and one of 3 takes both, without building a walk. The
     walk visits each longer path, then each cycle from its smallest vertex,
-    stepping to the neighbour it did not come from. The graph lives in
-    flat lists and bytes, not in one set per candidate, so the cyclic
-    garbage collector has little to traverse. A longer path's lexmin
+    stepping to the neighbour it did not come from. A longer path's lexmin
     witness (:func:`_lexmin_path_mis`) is a closed form for any odd path
     (its even offsets); only an even path takes one scan along the walk.
     The chosen vertices are marked in a byte per position and read off in
@@ -447,7 +452,7 @@ def exact_search(
     Raises:
         BudgetError: the instance exceeds the configured search budget.
     """
-    budget = budget or DEFAULT_BUDGET
+    budget = _resolve_budget(budget)
     n, m = len(a1), len(a2)
 
     if mc.forces_identity():
@@ -538,6 +543,7 @@ def solve(
     equal sequences carry more conflict arcs than positions, which forces a
     vertex of degree >= 3; the arc counts are compared before the xor.
     """
+    budget = _resolve_budget(budget)
     if not a1.arcs and not a2.arcs and mc.kind == "unconstrained":
         return lcs_dp(a1, a2)
     if mc.forces_identity() and (n := len(a1)) == len(a2):

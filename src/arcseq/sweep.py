@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -27,12 +27,13 @@ from .reductions import (
     EquivalenceRow,
     Graph,
     GraphOracles,
-    REDUCTIONS,
+    REDUCTIONS,  # unused here; bench/test_bench.py reads sweep.REDUCTIONS
     ROW_FIELDS,
     _case_and_threshold,
+    _check_theorem,
     check_equivalence,
 )
-from .solvers import SearchBudget, exact_search
+from .solvers import DEFAULT_BUDGET, SearchBudget, _resolve_budget, exact_search
 
 __all__ = [
     "SweepConfig",
@@ -72,13 +73,13 @@ class SweepConfig:
     random_count: int | None = None
     edge_probability: float | None = None
     seed: int | None = None
-    search_budget: SearchBudget = field(default_factory=SearchBudget)
+    search_budget: SearchBudget = DEFAULT_BUDGET
     max_exhaustive_n: int | None = None
     output_csv: Path | None = None
 
     def __post_init__(self):
-        if self.theorem not in REDUCTIONS:
-            raise ValidationError(f"theorem must be 'T1' or 'T2', got {self.theorem!r}")
+        _check_theorem(self.theorem)
+        self.search_budget = _resolve_budget(self.search_budget)
         lo, hi = self.n_range
         if type(lo) is not int or type(hi) is not int or lo < 1 or hi < lo:
             raise ValidationError(f"bad vertex-count range {self.n_range}")
@@ -157,15 +158,10 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
 
     Each graph is evaluated once for all its k: its rows share one
     :class:`arcseq.reductions.GraphOracles`, bound to the sweep's theorem
-    and budget, which holds one entry per case. Connectivity and the
-    independence number (on the size-only engine) are computed once per
-    graph, and the reduced instance is built and solved once per (graph,
-    case); k sets only the threshold. The solve is a lexmin independent-set
-    search when the degree <= 2 lane declines the pair and the identity
-    route of exact_search runs instead (on T1, a graph with a vertex of
-    degree 3 or more), and each spot check below is one more; each reads
-    bitmasks built straight from the edges. A further row of a solved case
-    is one lookup.
+    and budget. Connectivity and the independence number are computed once
+    per graph, and the reduced instance is built and solved once per
+    (graph, case); k sets only the threshold, and a further row of a
+    solved case is one lookup.
 
     A row is spot-checked when its index is a multiple of ten, it is not
     skipped, and its pair fits the identity length budget: the exhaustive

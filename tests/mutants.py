@@ -1,0 +1,161 @@
+"""Mutants of ``src/arcseq``, kept with the tests that must tell them apart.
+
+Each entry of :data:`MUTANTS` is one small edit: a file under
+``src/arcseq``, an exact old text that occurs there once, its
+replacement, the tests that should catch it, and what they do: "killed"
+(some selected test fails) or "equivalent" (the edit keeps every behaviour,
+so every selected test passes). ``tests/test_mutants.py`` checks that each
+old text still occurs exactly once, so a refactor cannot make a mutant
+silently inapplicable.
+
+Run every mutant, or the named ones (standard library and pytest only):
+
+    python tests/mutants.py [NAME ...]
+
+Each run copies ``src/`` to a temporary directory, applies one mutant there
+and runs its selection with ``pytest -x`` against the copy; the tree is not
+written to. The exit status is 1 when some result differs from its entry's
+expectation.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/arcseq
+    old: str
+    new: str
+    selection: tuple[str, ...]  # pytest node ids, relative to the repository root
+    expect: str  # "killed" or "equivalent"
+
+
+_ENTRY_POINTS = "tests/test_reductions.py::test_budget_is_checked_at_every_entry_point"
+
+MUTANTS = (
+    Mutant(
+        "budget-none-as-falsy",
+        "solvers.py",
+        "    if budget is None:\n        return DEFAULT_BUDGET\n",
+        "    if not budget:\n        return DEFAULT_BUDGET\n",
+        (_ENTRY_POINTS,),
+        "killed",
+    ),
+    Mutant(
+        "budget-type-unchecked",
+        "solvers.py",
+        "    if not isinstance(budget, SearchBudget):\n"
+        '        raise ValidationError(f"budget must be None or a SearchBudget, got {budget!r}")\n',
+        "",
+        (_ENTRY_POINTS,),
+        "killed",
+    ),
+    Mutant(
+        "solve-skips-the-resolver",
+        "solvers.py",
+        '    """\n    budget = _resolve_budget(budget)\n    if not a1.arcs',
+        '    """\n    if not a1.arcs',
+        (f"{_ENTRY_POINTS}[solve]",),
+        "killed",
+    ),
+    Mutant(
+        "sweep-config-keeps-none",
+        "sweep.py",
+        "        self.search_budget = _resolve_budget(self.search_budget)\n",
+        "        _resolve_budget(self.search_budget)\n",
+        (f"{_ENTRY_POINTS}[SweepConfig]",),
+        "killed",
+    ),
+    Mutant(
+        "oracles-skip-the-theorem-check",
+        "reductions.py",
+        "        _check_theorem(theorem)\n        self.graph = g\n",
+        "        self.graph = g\n",
+        ("tests/test_reductions.py::TestCheckEquivalence::test_theorem_name_validated",),
+        "killed",
+    ),
+    Mutant(
+        "mis-cap-off-by-one",
+        "reductions.py",
+        "    if n > cap:\n",
+        "    if n >= cap:\n",
+        ("tests/test_reductions.py::TestMaxIndependentSet::test_budget",),
+        "killed",
+    ),
+    Mutant(
+        "clique-cover-drops-isolated",
+        "mis.py",
+        "rest, cliques = cand & touched, (cand & isolated).bit_count()",
+        "rest, cliques = cand & touched, 0",
+        ("tests/test_mis.py",),
+        "killed",
+    ),
+    # An isolated candidate grows no clique past itself, so a cover grown
+    # over every candidate counts it once too: the bound is the same.
+    Mutant(
+        "clique-cover-over-all-candidates",
+        "mis.py",
+        "rest, cliques = cand & touched, (cand & isolated).bit_count()",
+        "rest, cliques = cand, 0",
+        ("tests/test_mis.py",),
+        "equivalent",
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """Apply mutant to a copy of src/ and run its selection: "killed" when a
+    selected test fails, "equivalent" when all pass.
+
+    Raises:
+        RuntimeError: the old text does not occur exactly once, or pytest
+            neither passed nor failed (a usage error, or no test selected).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / "arcseq" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise RuntimeError(f"{mutant.name}: the old text is not in {mutant.file} exactly once")
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.selection],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    if code not in (0, 1):
+        raise RuntimeError(f"{mutant.name}: pytest exited with {code}")
+    return "equivalent" if code == 0 else "killed"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in chosen}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        result = run(mutant)
+        ok = result == mutant.expect
+        failed += not ok
+        print(f"{'ok ' if ok else 'BAD'} {mutant.name}: {result} (expected {mutant.expect}), "
+              f"{time.perf_counter() - start:.1f} s", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -18,6 +18,8 @@ from arcseq.mis import NeighborMasks, bit_flags
 from arcseq.solvers import SearchBudget, SolveResult, diagonal_conflict_solve, exact_search, lcs_dp
 from arcseq.reductions import (
     _IDENTITY,
+    ROW_FIELDS,
+    EquivalenceReport,
     Graph,
     Provenance,
     ReductionInstance,
@@ -240,6 +242,22 @@ def per_value_cell(value: bool | int | str | None) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def summary_payload(report: EquivalenceReport) -> dict:
+    """The report part of a sweep's summary file, as a dict built from the
+    report's public views: the theorem, the tallies, each counterexample as
+    a dict keyed in ROW_FIELDS order, and each skipped row's graph, k and
+    reason. The reference the summary's counterexample template must
+    match."""
+    return {
+        "theorem": report.theorem,
+        **report.counts(),
+        "counterexamples": [dict(zip(ROW_FIELDS, r)) for r in report.counterexamples],
+        "skipped_rows": [
+            {"graph_id": r.graph_id, "k": r.k, "reason": r.skip_reason} for r in report.skipped_rows
+        ],
+    }
 
 
 def line_loop_parse_annotated_sequence(text: str) -> AnnotatedSequence:

@@ -7,7 +7,7 @@ from itertools import compress, count
 
 import pytest
 
-from arcseq import BudgetError, reduce_theorem2
+from arcseq import BudgetError, Graph, max_independent_set, reduce_theorem1, reduce_theorem2, solve
 from arcseq.generate import exhaustive_graphs
 from arcseq.mis import (
     NeighborMasks,
@@ -210,7 +210,11 @@ def test_independence_number_on_seeded_graphs_up_to_the_cap():
     # Up to the sweep's 20-vertex cap, p from 0.05 to 0.9, each edge listed
     # either way round and some twice. The unpruned oracle tries 2^n
     # subsets, so it checks the graphs up to 16 vertices (about 0.3 s in
-    # all); the bitset engine, another algorithm, checks them all.
+    # all); the bitset engine, another algorithm, checks them all. Above 16
+    # vertices the engines check only each other, and each prunes in label
+    # order, so each such graph is also relabelled by a seeded permutation:
+    # alpha, max_independent_set's size and the T1 optimum must hold on both
+    # labellings, and the lexmin search must take another path on some.
     rng = random.Random(20114)
     cases = []
     for _ in range(200):
@@ -222,6 +226,8 @@ def test_independence_number_on_seeded_graphs_up_to_the_cap():
     # at the cap that was found.
     cases += [(20, []), (20, [(u, v) for u in range(1, 21) for v in range(u + 1, 21)]),
               (20, [(v, (v + d - 1) % 20 + 1) for v in range(1, 21) for d in (1, 2)])]
+    relabel = random.Random(1720)
+    paths = set()
     for n, edges in cases:
         listed = [e if rng.random() < 0.5 else e[::-1] for e in edges] + edges[::4]
         alpha = independence_number(n, listed)
@@ -229,4 +235,16 @@ def test_independence_number_on_seeded_graphs_up_to_the_cap():
         assert alpha == lexmin_maximum_independent_set(masks, masks)[0]
         if n <= 16:
             assert alpha == brute_max_independent_set(n, edges)
+            continue
+        perm = relabel.sample(range(1, n + 1), n)
+        nodes = []
+        for g in (Graph(n, edges), Graph(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])):
+            inst = reduce_theorem1(g, 1)
+            assert independence_number(n, g.edges) == alpha
+            assert max_independent_set(g).size == alpha
+            assert solve(inst.a1, inst.a2, inst.mc).length == alpha
+            masks = NeighborMasks(range(1, n + 1), g.edges)
+            nodes.append(lexmin_maximum_independent_set(masks, masks)[2])
+        paths.add(nodes[0] == nodes[1])
+    assert paths == {True, False}
     assert [independence_number(n, edges) for n, edges in cases[-3:]] == [20, 1, 6]

@@ -35,7 +35,8 @@ from arcseq.reductions import (
     Provenance,
     edge_universe,
 )
-from arcseq.sweep import SweepConfig, run_sweep
+from arcseq.solvers import DEFAULT_BUDGET
+from arcseq.sweep import SweepConfig, render_summary, run_sweep
 
 from oracles import (
     brute_max_independent_set,
@@ -397,6 +398,41 @@ def test_non_integer_k_is_rejected(k):
         assert oracles.cases == {}
 
 
+# Each entry point that takes a budget, called with one, as a value that
+# tells one budget's results from another's.
+AB = AnnotatedSequence("ab")
+BUDGET_ENTRY_POINTS = {
+    # ab/ab under same-position matching takes the degree-2 lane, which
+    # reads no budget.
+    "solve": lambda budget: solve(AB, AB, MatchConstraint.fragment(1), budget=budget),
+    "exact_search": lambda budget: exact_search(AB, AB, MatchConstraint.fragment(1), budget),
+    "max_independent_set": lambda budget: max_independent_set(PATH3, budget),
+    "GraphOracles": lambda budget: vars(GraphOracles(PATH3, "T1", budget)),
+    "check_equivalence": lambda budget: check_equivalence(PATH3, 2, "T1", search_budget=budget),
+    "SweepConfig": lambda budget: (
+        vars(cfg := SweepConfig("T1", (1, 3), search_budget=budget)),
+        render_summary(run_sweep(cfg), cfg, {}),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_budget_is_checked_at_every_entry_point(entry):
+    # None or a SearchBudget, and nothing else: not a node count, a cap of
+    # the old integer form, a bool (a falsy one included) or a string. None
+    # is DEFAULT_BUDGET, with the same results, memo entry and summary echo.
+    call = BUDGET_ENTRY_POINTS[entry]
+    for budget in (5, 0, 21.0, True, False, "x"):
+        with pytest.raises(ValidationError, match=re.escape(f"got {budget!r}")):
+            call(budget)
+    default = call(SearchBudget())
+    assert call(None) == default
+    assert call(SearchBudget(max_nodes=9)) is not None
+    if entry == "GraphOracles":
+        assert default["search_budget"] == SearchBudget()
+        assert call(None)["search_budget"] is DEFAULT_BUDGET
+
+
 class TestExtractIndependentSet:
     def test_single_letter_read_off(self):
         inst = reduce_theorem1(TRIANGLE, 1)
@@ -670,9 +706,22 @@ class TestCheckEquivalence:
             max_independent_set(k4, budgets[3])
         assert str(info.value) == row.skip_reason
 
-    def test_theorem_name_validated(self):
-        with pytest.raises(ValidationError):
-            check_equivalence(TRIANGLE, 1, "T3")
+    def test_theorem_name_validated(self, monkeypatch):
+        # One check, at each entry point that takes a theorem name, with one
+        # message; the oracles check it before their graph's alpha or
+        # connectivity is computed.
+        calls = []
+        for name, attr in (("mis", "independence_number"), ("solve", "solve")):
+            monkeypatch.setattr(reductions, attr, recording(calls, name, getattr(reductions, attr)))
+        monkeypatch.setattr(Graph, "is_connected", recording(calls, "connected", Graph.is_connected))
+        for theorem in ("T3", "t1", "", None, 1, ["T1"]):
+            message = re.escape(f"theorem must be 'T1' or 'T2', got {theorem!r}")
+            for enter in (lambda: check_equivalence(TRIANGLE, 1, theorem),
+                          lambda: GraphOracles(TRIANGLE, theorem),
+                          lambda: SweepConfig(theorem, (1, 2))):
+                with pytest.raises(ValidationError, match=message):
+                    enter()
+        assert calls == []
 
     def test_single_letter_optimum_equals_independence_number(self):
         for n in range(1, 5):
