@@ -103,8 +103,10 @@ def lexmin_maximum_independent_set(
 ) -> tuple[int, tuple[int, ...], int]:
     """Exact maximum independent set with a deterministic witness.
 
-    Depth-first branch and bound on bitmasks. A node holds the chosen set
-    and ``cand``, the vertices at or after the current one that no chosen
+    Depth-first branch and bound on bitmasks. A vertex with no neighbour is
+    in every maximum independent set, so the root takes all of them and the
+    search branches over the others. A node holds the chosen set and
+    ``cand``, the other vertices at or after the current one that no chosen
     vertex excludes. It branches on the lowest candidate, include-branch
     first: the include child is entered at once and only the exclude child
     waits on the stack. Two admissible bounds prune a node that cannot
@@ -112,12 +114,11 @@ def lexmin_maximum_independent_set(
     then, only if that fails, ``chosen`` plus the size of a greedy clique
     cover of ``cand`` (an independent set takes at most one vertex of each
     clique), counted inline and only up to the point where it stops pruning.
-    A vertex with no neighbour is a clique of its own in every such cover,
-    and no other clique grows through it, so the isolated candidates are
-    counted in one popcount and the cover is grown over the rest.
     Vertices are explored in ascending label order and only strict
     improvements are recorded, so the returned witness is the
-    lexicographically smallest optimum (as a sorted label tuple).
+    lexicographically smallest optimum (as a sorted label tuple): adding the
+    isolated vertices to two sets of equal size keeps their order, so
+    witness and node count are those of the search on the other vertices.
 
     Called as ``(masks, masks)`` with one :class:`NeighborMasks`, it reads
     them as they are; any other mapping is turned into one, so neighbour
@@ -135,13 +136,12 @@ def lexmin_maximum_independent_set(
         neighbors = NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
     order, touched = neighbors.order, neighbors.touched
     nbr = [0, *neighbors.masks]  # indexed by a vertex bit's bit_length()
-    full = (1 << len(order)) - 1
-    isolated = full ^ touched
+    isolated = (1 << len(order)) - 1 ^ touched
 
     best_size, best_set = 0, 0
     nodes = 0
     stack = []  # exclude children; an include child is entered at once
-    cand, size, chosen = full, 0, 0
+    cand, size, chosen = touched, isolated.bit_count(), isolated
     while True:
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -151,11 +151,10 @@ def lexmin_maximum_independent_set(
         if cand:
             slack = best_size - size
             if cand.bit_count() > slack:
-                # Greedy clique cover, counted up to slack + 1: each isolated
-                # candidate is one clique; every other clique grows from the
-                # lowest uncovered vertex through the lowest uncovered common
-                # neighbour.
-                rest, cliques = cand & touched, (cand & isolated).bit_count()
+                # Greedy clique cover, counted up to slack + 1: each clique
+                # grows from the lowest uncovered candidate through the
+                # lowest uncovered common neighbour.
+                rest, cliques = cand, 0
                 while rest and cliques <= slack:
                     low = rest & -rest
                     rest ^= low

@@ -228,8 +228,12 @@ def _conflict_edges(
     Returns (flags, arcs): flags[p] is 1 exactly when p is a candidate,
     S1[p] = S2[p] (flags[0] is 0), and arcs holds the arcs of exactly one
     side. The conflict edges are the arcs whose two ends are candidates.
+    Equal sequences, which both reductions build, make every position a
+    candidate after one string comparison.
     """
-    return bytes(1) + bytes(map(eq, a1.seq, a2.seq)), a1.arcs ^ a2.arcs
+    s1, s2 = a1.seq, a2.seq
+    flags = b"\1" * len(s1) if s1 == s2 else bytes(map(eq, s1, s2))
+    return b"\0" + flags, a1.arcs ^ a2.arcs
 
 
 def _lexmin_path_mis(order: list[int]) -> list[int]:

@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 _ENTRY_POINTS = "tests/test_reductions.py::test_budget_is_checked_at_every_entry_point"
+_FLAGS = ("tests/test_solvers.py::TestConflictGraph::"
+          "test_equal_sequences_flag_what_the_per_position_compare_flags")
 
 MUTANTS = (
     Mutant(
@@ -94,22 +96,36 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "clique-cover-drops-isolated",
+        "root-keeps-isolated-candidates",
         "mis.py",
-        "rest, cliques = cand & touched, (cand & isolated).bit_count()",
-        "rest, cliques = cand & touched, 0",
+        "cand, size, chosen = touched, isolated.bit_count(), isolated\n",
+        "cand, size, chosen = touched | isolated, isolated.bit_count(), isolated\n",
         ("tests/test_mis.py",),
         "killed",
     ),
-    # An isolated candidate grows no clique past itself, so a cover grown
-    # over every candidate counts it once too: the bound is the same.
     Mutant(
-        "clique-cover-over-all-candidates",
+        "root-does-not-count-isolated",
         "mis.py",
-        "rest, cliques = cand & touched, (cand & isolated).bit_count()",
-        "rest, cliques = cand, 0",
+        "cand, size, chosen = touched, isolated.bit_count(), isolated\n",
+        "cand, size, chosen = touched, 0, isolated\n",
         ("tests/test_mis.py",),
-        "equivalent",
+        "killed",
+    ),
+    Mutant(
+        "equal-sequence-flags-one-short",
+        "solvers.py",
+        r'flags = b"\1" * len(s1) if s1 == s2',
+        r'flags = b"\1" * (len(s1) - 1) if s1 == s2',
+        (_FLAGS,),
+        "killed",
+    ),
+    Mutant(
+        "flags-shortcut-on-equal-lengths",
+        "solvers.py",
+        r'flags = b"\1" * len(s1) if s1 == s2 else',
+        r'flags = b"\1" * len(s1) if len(s1) == len(s2) else',
+        (_FLAGS,),
+        "killed",
     ),
 )
 

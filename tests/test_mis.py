@@ -7,7 +7,15 @@ from itertools import compress, count
 
 import pytest
 
-from arcseq import BudgetError, Graph, max_independent_set, reduce_theorem1, reduce_theorem2, solve
+from arcseq import (
+    BudgetError,
+    Graph,
+    exact_search,
+    max_independent_set,
+    reduce_theorem1,
+    reduce_theorem2,
+    solve,
+)
 from arcseq.generate import exhaustive_graphs
 from arcseq.mis import (
     NeighborMasks,
@@ -26,20 +34,27 @@ from oracles import (
 
 
 def _same_search(vertices, neighbors, masks):
-    """The mask path and the neighbour-set path give the same size, witness
-    and node count as the search that stacked both children, and the same
-    BudgetError one node short of that count."""
+    """The mask path and the neighbour-set path give the same search: the one
+    that stacked both children, run on the vertices that have a neighbour,
+    with every isolated vertex added to its size and witness. Same node
+    count, and the same BudgetError one node short of that count."""
     by_masks = lexmin_maximum_independent_set(masks, masks)
-    assert both_children_stacked_lexmin_mis(masks, masks) == by_masks
+    touched = [v for v in masks if masks[v]]
+    isolated = [v for v in masks if not masks[v]]
+    size, witness, nodes = both_children_stacked_lexmin_mis(touched, masks)
+    assert by_masks == (size + len(isolated), tuple(sorted(witness + tuple(isolated))), nodes)
     assert lexmin_maximum_independent_set(vertices, neighbors) == by_masks
-    nodes = by_masks[2]
     assert lexmin_maximum_independent_set(masks, masks, max_nodes=nodes) == by_masks
     errors = []
-    for args in ((masks, masks), (vertices, neighbors)):
+    for search, args in (
+        (lexmin_maximum_independent_set, (masks, masks)),
+        (lexmin_maximum_independent_set, (vertices, neighbors)),
+        (both_children_stacked_lexmin_mis, (touched, masks)),
+    ):
         with pytest.raises(BudgetError) as info:
-            lexmin_maximum_independent_set(*args, max_nodes=nodes - 1)
+            search(*args, max_nodes=nodes - 1)
         errors.append(str(info.value))
-    assert errors == [f"independent-set search exceeded {nodes - 1} nodes"] * 2
+    assert errors == [f"independent-set search exceeded {nodes - 1} nodes"] * 3
     return by_masks
 
 
@@ -181,13 +196,19 @@ def test_same_search_on_every_6_vertex_graph_and_the_blocked_conflict_graphs():
             flags, arcs = _conflict_edges(inst.a1, inst.a2)
             candidates = list(compress(count(), flags))
             _same_search(candidates, adjacency(candidates, arcs), NeighborMasks(candidates, arcs))
+            # The m edge arcs share no end. The root takes the other
+            # n(n + 2) - 2m positions; the include-first path over the edges
+            # is m + 1 nodes, and the clique cover prunes each of the m
+            # exclude children at once.
+            r = exact_search(inst.a1, inst.a2, inst.mc)
+            assert (r.length, r.stats["nodes"]) == (n * (n + 2) - g.m, 2 * g.m + 1)
 
 
 def test_same_search_on_graphs_of_mostly_isolated_vertices():
-    # The clique cover counts the isolated candidates in one popcount and
-    # grows cliques over the rest. Edgeless, one-edge and half-matching
-    # graphs of 20 to 35 vertices take that path at nearly every node; the
-    # search must still be the one that stacked both children.
+    # The root takes the isolated vertices and the search branches over the
+    # rest. Edgeless, one-edge and half-matching graphs of 20 to 35 vertices
+    # are mostly isolated vertices; the search must still be the one that
+    # stacked both children, on the vertices that have a neighbour.
     rng = random.Random(20113)
     for n in (20, 27, 35):
         for vertices in (range(1, n + 1), sorted(rng.sample(range(-40, 80), n))):
@@ -196,8 +217,27 @@ def test_same_search_on_graphs_of_mostly_isolated_vertices():
             for edges in ([], [tuple(shuffled[:2])], half):
                 masks = NeighborMasks(vertices, edges)
                 assert masks.touched.bit_count() == 2 * len(edges)
-                size, _, _ = _same_search(vertices, adjacency(vertices, edges), masks)
-                assert size == n - len(edges)
+                size, _, nodes = _same_search(vertices, adjacency(vertices, edges), masks)
+                assert (size, nodes) == (n - len(edges), 2 * len(edges) + 1)
+
+
+def test_t2_conflict_graphs_keep_their_optimum_under_relabelling():
+    # The 35-vertex case-II conflict graphs at n = 5 are over
+    # max_independent_set's 20-vertex cap and out of the brute-force
+    # oracle's reach, so the two engines are called directly and check each
+    # other, and the closed form n(n + 2) - m. Each engine prunes in label
+    # order, so each graph is also relabelled by a seeded permutation.
+    rng = random.Random(20115)
+    length = 5 * 7
+    for _, g in rng.sample(list(exhaustive_graphs(5)), 200):
+        inst = reduce_theorem2(g, 1)
+        flags, arcs = _conflict_edges(inst.a1, inst.a2)
+        assert flags == bytes([0] + [1] * length)
+        perm = [0, *rng.sample(range(1, length + 1), length)]
+        for edges in (arcs, [(perm[p], perm[q]) for p, q in arcs]):
+            masks = NeighborMasks(range(1, length + 1), edges)
+            size = lexmin_maximum_independent_set(masks, masks)[0]
+            assert independence_number(length, edges) == size == length - g.m
 
 
 def test_independence_number_on_every_labelled_graph_up_to_n6():

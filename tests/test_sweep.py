@@ -48,12 +48,14 @@ def test_exhaustive_outputs_match_pinned_bytes(tmp_path, theorem, n_max):
 
 # sha256 of the CSV and the summary JSON of sweeps that skip rows (under a
 # node budget; under an independent-set budget) or reach only T2's case I,
-# captured before the per-graph oracles kept one entry per case.
+# captured before the per-graph oracles kept one entry per case; the node
+# budget's entry was captured again once the lexmin search took the
+# isolated candidates at its root, which skips fewer rows.
 SKIP_PINS = {
     ("T1", 5, "all", "max_nodes=3"): (
-        {"search_budget": SearchBudget(max_nodes=3)}, 5405, 3938,
-        "690824824010b67fb2cb8f982a6ab209e9a0d8d5e0c72ccb892a5d18c9cb7f0c",
-        "81fde94330b4b3a4485987f9c88c61adf1d628b2d755547564f584ef5bb2f9b1",
+        {"search_budget": SearchBudget(max_nodes=3)}, 5405, 3913,
+        "58ae5d7b3ad98af2d46301b287e10fe02b170c428ac96bcd9d993a942505f857",
+        "96cb934cb542d5cce8d7885251fc47dd39809370d4069b62f40c848433bd78af",
     ),
     ("T2", 4, "all", "mis_max_vertices=3"): (
         {"search_budget": SearchBudget(mis_max_vertices=3)}, 285, 256,
