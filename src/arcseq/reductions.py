@@ -16,9 +16,8 @@ same-position matching:
   bracket arc (present on both sides); each graph edge (i, j) becomes an
   arc, present on the first side only, between an 'a' inside block i and an
   'a' inside block j. The threshold scales to k*(n+2). The sequence, the
-  bracket arcs and the second side depend on n alone, so they are built
-  and checked once per n; each graph's edge arcs, and the invariants that
-  involve them, are checked per graph.
+  brackets, the second side and each edge's arc depend on n alone, so they
+  are checked once per n; per graph only |P1| is.
 
 The construction's backward direction is treated as an empirical question:
 :func:`check_equivalence` measures both implications per (graph, k) pair
@@ -39,6 +38,7 @@ the budget error that stopped them. k sets only the threshold.
 from __future__ import annotations
 
 import functools
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import compress, filterfalse
@@ -51,7 +51,6 @@ from .core import (
     Mapping,
     MatchConstraint,
     StructureLevel,
-    _no_shared_endpoints,
     _require_int,
     _trusted,
     is_arc_preserving,
@@ -250,6 +249,8 @@ class ReductionInstance(NamedTuple):
 
 # The same-position constraint of both constructions.
 _IDENTITY = MatchConstraint.fragment(1)
+# Held while edges are admitted to a blocked frame's memo.
+_ADMITTING = threading.Lock()
 
 
 def _check(cond: bool, what: str) -> None:
@@ -295,13 +296,16 @@ def reduce_theorem1(g: Graph, k: int) -> ReductionInstance:
 
 
 @functools.lru_cache(maxsize=8)
-def _blocked_frame(n: int) -> tuple[str, frozenset[Arc], AnnotatedSequence]:
+def _blocked_frame(n: int) -> tuple[str, frozenset[Arc], AnnotatedSequence, dict, set]:
     """What every case-II blocked instance with n vertices shares, built and
     checked once per n: the sequence (b a^n b)^n, the bracket arcs framing
-    its blocks, and the second side (the sequence with the brackets only).
+    its blocks, the second side (the brackets only), a memo from each edge
+    admitted so far to its checked arc, and the endpoints in use.
 
-    The cache is small and bounded because a frame holds n(n+2) letters, and
-    sweeps visit the vertex counts one after another.
+    The memo holds at most the edge universe, for at most 8 vertex counts
+    (a frame holds n(n+2) letters; sweeps visit the counts in turn). It
+    fills as graphs use their edges, so a large sparse graph checks its own
+    arcs, not all n(n-1)/2, and under a lock, since every thread shares it.
     """
     width = n + 2
     seq = ("b" + "a" * n + "b") * n
@@ -310,7 +314,7 @@ def _blocked_frame(n: int) -> tuple[str, frozenset[Arc], AnnotatedSequence]:
     _check(len(seq) == n * width, "sequence length n(n+2)")
     _check(len(a2.arcs) == n, "|P2| = n")
     _check(a2.structure().is_within(StructureLevel.CHAIN), "P2 within chain")
-    return seq, brackets, a2
+    return seq, brackets, a2, {}, {end for arc in brackets for end in arc}
 
 
 def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
@@ -330,14 +334,13 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     holds, and the backward direction fails exactly when alpha(G) < k and
     m <= (n - k)(n + 2); the triangle with k = 2 is the smallest case.
 
-    The sequence, the bracket arcs and the second side depend on n alone:
-    they are built once per n, and their invariants (length n(n+2), |P2| = n,
-    P2 within chain) are checked there. Per graph only the m edge arcs are
-    computed, and these invariants are checked at O(n + m) cost:
-    |P1| = |E| + n; each edge arc lies within 1 <= alpha < beta <= n(n+2)
-    and links two 'a's; and no two arcs of P1 share an endpoint, which for
-    canonical arcs is exactly P1 within crossing. The arcs are built
-    canonical, so the sequences skip the constructor's checks.
+    The frame of :func:`_blocked_frame` is checked once per n (length
+    n(n+2), |P2| = n, P2 within chain), and so is each edge arc, when a
+    graph first uses its edge: it lies within 1 <= alpha < beta <= n(n+2),
+    links two 'a's and shares no endpoint with a bracket or an admitted
+    arc (for canonical arcs, exactly P1 within crossing). Per graph, P1 is
+    one union of brackets and memo arcs, and |P1| = |E| + n is checked;
+    the arcs are canonical, so the sequences skip the constructor's checks.
     """
     case, threshold = _case_and_threshold("T2", g.n, k)
     if case == "I":
@@ -345,17 +348,22 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
         return ReductionInstance(a, a, _IDENTITY, threshold, Provenance("T2", case, g, k))
 
     n = g.n
-    seq, brackets, a2 = _blocked_frame(n)
-    width = n + 2
-    edge_arcs = [((i - 1) * width + j + 1, (j - 1) * width + i + 1) for i, j in g.edges]
-    a1 = _trusted(AnnotatedSequence, seq=seq, arcs=brackets.union(edge_arcs))
-
-    _check(len(a1.arcs) == g.m + n, "|P1| = |E| + n")
-    length = len(seq)
-    for alpha, beta in edge_arcs:
-        _check(1 <= alpha < beta <= length, "edge arcs within 1 <= alpha < beta <= n(n+2)")
-        _check(seq[alpha - 1] == "a" and seq[beta - 1] == "a", "edge arcs land on a's")
-    _check(_no_shared_endpoints(a1.arcs), "P1 within crossing")
+    seq, brackets, a2, edge_arcs, in_use = _blocked_frame(n)
+    try:
+        p1 = brackets.union(map(edge_arcs.__getitem__, g.edges))
+    except KeyError:
+        width, length = n + 2, len(seq)
+        with _ADMITTING:
+            for i, j in g.edges - edge_arcs.keys():
+                alpha, beta = (i - 1) * width + j + 1, (j - 1) * width + i + 1
+                _check(1 <= alpha < beta <= length, "edge arcs within 1 <= alpha < beta <= n(n+2)")
+                _check(seq[alpha - 1] == "a" and seq[beta - 1] == "a", "edge arcs land on a's")
+                _check(alpha not in in_use and beta not in in_use, "P1 within crossing")
+                in_use.update((alpha, beta))
+                edge_arcs[i, j] = alpha, beta
+        p1 = brackets.union(map(edge_arcs.__getitem__, g.edges))
+    _check(len(p1) == g.m + n, "|P1| = |E| + n")
+    a1 = _trusted(AnnotatedSequence, seq=seq, arcs=p1)
 
     return ReductionInstance(a1, a2, _IDENTITY, threshold, Provenance("T2", case, g, k))
 

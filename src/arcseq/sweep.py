@@ -61,8 +61,8 @@ class SweepConfig:
     int (not a bool). graph_source is "exhaustive" or "random"; random mode
     draws `random_count` graphs per vertex count, each edge with
     `edge_probability` (an int or a float within [0, 1], not a bool), and
-    requires a seed. The vertex counts, random_count and max_exhaustive_n
-    are ints too: a bool or a float is rejected. Every cap of the two
+    requires a seed. The vertex counts, random_count, max_exhaustive_n and
+    seed are ints too: a bool or a float is rejected. Every cap of the two
     oracles is a field of search_budget, which checks them.
     """
 
@@ -88,6 +88,8 @@ class SweepConfig:
                 raise ValidationError("fixed k must be >= 1")
         elif self.k_policy != "all":
             raise ValidationError("k_policy must be 'all' or a positive integer")
+        if self.seed is not None:
+            _require_int(self.seed, "seed")
         if self.max_exhaustive_n is not None:
             _require_int(self.max_exhaustive_n, "max_exhaustive_n")
             if self.max_exhaustive_n < 1:

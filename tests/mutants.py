@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 _ENTRY_POINTS = "tests/test_reductions.py::test_budget_is_checked_at_every_entry_point"
 _FLAGS = ("tests/test_solvers.py::TestConflictGraph::"
           "test_equal_sequences_flag_what_the_per_position_compare_flags")
+_FRAME = "tests/test_reductions.py::TestBlockedFrame"
 
 MUTANTS = (
     Mutant(
@@ -125,6 +126,38 @@ MUTANTS = (
         r'flags = b"\1" * len(s1) if s1 == s2 else',
         r'flags = b"\1" * len(s1) if len(s1) == len(s2) else',
         (_FLAGS,),
+        "killed",
+    ),
+    Mutant(
+        "admission-skips-endpoints-in-use",
+        "reductions.py",
+        "_check(alpha not in in_use and beta not in in_use,",
+        "_check(True,",
+        (_FRAME,),
+        "killed",
+    ),
+    Mutant(
+        "admission-skips-the-a-check",
+        "reductions.py",
+        '_check(seq[alpha - 1] == "a" and seq[beta - 1] == "a",',
+        "_check(True,",
+        (_FRAME,),
+        "killed",
+    ),
+    Mutant(
+        "admission-skips-the-range-check",
+        "reductions.py",
+        "_check(1 <= alpha < beta <= length,",
+        "_check(True,",
+        (_FRAME,),
+        "killed",
+    ),
+    Mutant(
+        "reduction-skips-the-p1-count",
+        "reductions.py",
+        "_check(len(p1) == g.m + n,",
+        "_check(True,",
+        (_FRAME,),
         "killed",
     ),
 )

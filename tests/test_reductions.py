@@ -2,6 +2,8 @@
 
 import random
 import re
+import sys
+import threading
 from itertools import combinations, compress
 
 import pytest
@@ -308,8 +310,8 @@ class TestReduceTheorem2:
 
 
 class TestBlockedFrame:
-    """The case-II frame is built once per n; each graph's invariants are
-    still checked per graph."""
+    """The case-II frame is built once per n; each edge arc is checked once
+    per n, when a graph first has its edge, and |P1| once per graph."""
 
     @staticmethod
     def same_instance(g, k):
@@ -359,12 +361,96 @@ class TestBlockedFrame:
         ],
     )
     def test_per_graph_checks_fire_on_a_corrupted_frame(self, monkeypatch, corruption, what):
-        # The triangle's edge arcs are (3, 7), (4, 12) and (9, 13).
-        seq, brackets, a2 = reductions._blocked_frame(3)
-        frame = (corruption.get("seq", seq), corruption.get("brackets", brackets), a2)
+        # The triangle's edge arcs are (3, 7), (4, 12) and (9, 13). The
+        # corrupted frame has admitted no edge yet, and its endpoints in use
+        # are its own brackets'.
+        seq, brackets, a2, _, _ = reductions._blocked_frame(3)
+        seq, brackets = corruption.get("seq", seq), corruption.get("brackets", brackets)
+        frame = (seq, brackets, a2, {}, {end for arc in brackets for end in arc})
         monkeypatch.setattr(reductions, "_blocked_frame", lambda n: frame)
         with pytest.raises(RuntimeError, match=re.escape(f"invariant failed: {what}")):
             reduce_theorem2(TRIANGLE, 1)
+
+    @staticmethod
+    def assert_memo_is_checked(n):
+        """n's frame memo maps each admitted edge to the arc the reference
+        builds, and its endpoints in use are the brackets' and the admitted
+        arcs', no two the same."""
+        _, brackets, _, edge_arcs, in_use = reductions._blocked_frame(n)
+        for edge, arc in edge_arcs.items():
+            ref = classified_reduce_theorem2(Graph(n, {edge}), 1)
+            assert {arc} == ref.a1.arcs - ref.a2.arcs
+        ends = [end for arc in (*brackets, *edge_arcs.values()) for end in arc]
+        assert len(ends) == len(set(ends)) and set(ends) == in_use
+        return edge_arcs
+
+    def test_memo_holds_the_checked_edge_universe_after_every_small_graph(self):
+        reductions._blocked_frame.cache_clear()
+        try:
+            for n in range(1, 6):
+                for _, g in exhaustive_graphs(n):
+                    reduce_theorem2(g, 1)
+                edge_arcs = self.assert_memo_is_checked(n)
+                assert tuple(sorted(edge_arcs)) == edge_universe(n)
+                ref = classified_reduce_theorem2(Graph(n, edge_universe(n)), 1)
+                assert frozenset(edge_arcs.values()) == ref.a1.arcs - ref.a2.arcs
+        finally:
+            reductions._blocked_frame.cache_clear()
+
+    def test_a_rejected_edge_leaves_only_checked_arcs_in_the_memo(self):
+        # (2, 1) is the arc (7, 3), out of order; (1, 3) and (2, 3) are valid
+        # and may be admitted before it, in the edge set's order.
+        g = _trusted(Graph, n=3, edges=frozenset({(1, 3), (2, 1), (2, 3)}))
+        reductions._blocked_frame.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=re.escape("1 <= alpha < beta <= n(n+2)")):
+                reduce_theorem2(g, 1)
+            assert set(self.assert_memo_is_checked(3)) <= {(1, 3), (2, 3)}
+            for h in (TRIANGLE, PATH3, SINGLE_EDGE, Graph(3, {(1, 2)})):
+                self.same_instance(h, 1)
+            assert set(self.assert_memo_is_checked(3)) == set(TRIANGLE.edges)
+        finally:
+            reductions._blocked_frame.cache_clear()
+
+    def test_threads_that_first_use_one_edge_together_admit_it_once(self):
+        # Admission checks, then records, on a frame every thread shares.
+        # Unlocked, a thread that found an edge missing could then find its
+        # arc's endpoints in use by the thread that admitted it first.
+        complete = Graph(30, edge_universe(30))
+        ref = classified_reduce_theorem2(complete, 1)
+        barrier = threading.Barrier(4)
+        results = []
+
+        def reduce_complete():
+            try:
+                barrier.wait(timeout=60)
+                results.append(reduce_theorem2(complete, 1).a1 == ref.a1)
+            except Exception as exc:  # reported below, with the other results
+                results.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                reductions._blocked_frame.cache_clear()
+                reductions._blocked_frame(30)  # built first, so the threads share it
+                threads = [threading.Thread(target=reduce_complete) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+            assert len(self.assert_memo_is_checked(30)) == len(edge_universe(30))
+        finally:
+            sys.setswitchinterval(interval)
+            reductions._blocked_frame.cache_clear()
+        assert results == [True] * 40
+
+    def test_complete_graphs_equal_the_reference_and_stay_within_crossing(self):
+        for n in range(1, 13):
+            complete = Graph(n, edge_universe(n))
+            self.same_instance(complete, 1)
+            assert reduce_theorem2(complete, 1).a1.structure().is_within(StructureLevel.CROSSING)
 
     @pytest.mark.parametrize("edge", [(2, 1), (0, 2), (1, 4)])
     def test_per_graph_range_check_fires_on_a_corrupted_graph(self, edge):

@@ -361,6 +361,16 @@ def test_invalid_configs_rejected():
     for value in (20.0, True, "20", -1):
         with pytest.raises(ValidationError, match="max_exhaustive_n"):
             SweepConfig("T1", (1, 2), max_exhaustive_n=value)
+    # True would sweep seed 1's graphs and echo "seed": true; "1" and 1.5
+    # seed other graphs. Neither echo names a seed that --seed reproduces.
+    for seed in (True, "1", 1.5, 1.0):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            SweepConfig(
+                "T1", (1, 2), graph_source="random", random_count=1, edge_probability=0.5,
+                seed=seed,
+            )
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            SweepConfig("T1", (1, 2), seed=seed)
     cfg = SweepConfig("T1", (1, 2), search_budget=SearchBudget(mis_max_vertices=0))
     assert cfg.search_budget.mis_max_vertices == 0
     # The independent-set cap is a SearchBudget field, checked where the
