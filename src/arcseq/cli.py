@@ -22,7 +22,7 @@ from . import __version__
 from .core import MatchConstraint, classify_structure
 from .errors import ArcseqError, BudgetError
 from .formats import _pair_lines, load_annotated_sequence, load_graph, save_annotated_sequence
-from .reductions import REDUCTIONS, check_equivalence
+from .reductions import REDUCTIONS, GraphOracles, check_equivalence
 from .solvers import SearchBudget, solve
 from .sweep import SweepConfig, row_cells, run_sweep
 
@@ -132,13 +132,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = load_graph(args.graph)
-    row = check_equivalence(
-        g,
-        args.k,
-        f"T{args.theorem}",
-        graph_id=args.graph.stem,
-        search_budget=SearchBudget(max_nodes=args.budget_nodes),
-    )
+    oracles = GraphOracles(g, f"T{args.theorem}", SearchBudget(max_nodes=args.budget_nodes))
+    row = check_equivalence(oracles, args.k, args.graph.stem)
     print(" ".join(f"{name}={cell}" for name, cell in row_cells(row).items()))
     return EXIT_BUDGET if row.skipped else EXIT_OK
 

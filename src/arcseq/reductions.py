@@ -31,8 +31,9 @@ problem with two algorithms. Both constructions depend on k only through
 the threshold (and, for the two-letter one, through its case). So the rows
 of one graph share a :class:`GraphOracles`, bound to one theorem and one
 budget, that computes α when built and holds one entry per case: the
-reduced instance, α and the solver's result (a :class:`CaseAnswer`), or
-the budget error that stopped them. k sets only the threshold.
+reduced instance and the solver's result (a :class:`CaseAnswer`), or the
+budget error that stopped them. A row reads its graph, theorem, budget and
+α from the oracles; k sets only the threshold.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def _case_and_threshold(theorem: str, n: int, k: int) -> tuple[str | None, int]:
     if theorem == "T1":
         return None, k
     if k > n:
-        return "I", k
+        return "I", max(k, 2)
     return "II", k * (n + 2)
 
 
@@ -321,8 +322,9 @@ def reduce_theorem2(g: Graph, k: int) -> ReductionInstance:
     """Two-letter blocked reduction.
 
     For k > n the instance degenerates (case I): both sequences are the
-    single letter "a" with no arcs and the threshold stays k, which is
-    unsatisfiable for k > 1 by construction. Otherwise (case II) each vertex
+    single letter "a" with no arcs and the threshold is max(k, 2), which the
+    optimum 1 never reaches (k >= 2 whenever n >= 1; the empty graph at
+    k = 1 is a NO question too). Otherwise (case II) each vertex
     i becomes a block b a^n b of width n+2; block i is framed by the bracket
     arc ((i-1)(n+2)+1, i(n+2)) on both sides, and each edge (i, j), i < j,
     adds the arc ((i-1)(n+2)+j+1, (j-1)(n+2)+i+1), already in increasing
@@ -511,10 +513,6 @@ class EquivalenceReport:
         }
 
 
-def default_graph_id(g: Graph) -> str:
-    return f"g{g.n}-{g.edge_mask()}"
-
-
 REDUCTIONS = {"T1": reduce_theorem1, "T2": reduce_theorem2}
 
 
@@ -525,18 +523,19 @@ def _check_theorem(theorem: str) -> None:
 
 
 class CaseAnswer(NamedTuple):
-    """A case's answers: its reduced instance, kept whole, α of the graph,
-    and the solver's result on the instance. The instance is the one built
-    for the case's first row: its threshold and ``provenance.k`` are that
-    row's, not a later row's."""
+    """A case's answers: its reduced instance, kept whole, and the solver's
+    result on the instance. One exists only when the graph's α is an int
+    (``GraphOracles.alpha``). The instance is the one built for the case's
+    first row: its threshold and ``provenance.k`` are that row's, not a
+    later row's."""
 
     instance: ReductionInstance
-    alpha: int
     result: SolveResult
 
 
 class GraphOracles:
-    """One graph's oracle results for one theorem and one budget.
+    """One graph's oracle results for one theorem and one budget, each
+    checked here once (a ValidationError names a bad one).
 
     On construction, connectivity is kept in ``connected`` and α in
     ``alpha``: computed within the budget's ``mis_max_vertices`` by
@@ -570,44 +569,33 @@ class GraphOracles:
             inst = REDUCTIONS[self.theorem](self.graph, k)
             try:
                 result = solve(inst.a1, inst.a2, inst.mc, budget=self.search_budget)
-                entry = CaseAnswer(inst, entry, result)
+                entry = CaseAnswer(inst, result)
             except BudgetError as err:
                 entry = err.with_traceback(None)
         self.cases[case] = entry
         return entry
 
 
-def check_equivalence(
-    g: Graph,
-    k: int,
-    theorem: str,
-    graph_id: str | None = None,
-    search_budget: SearchBudget | None = None,
-    oracles: GraphOracles | None = None,
-) -> EquivalenceRow:
+def check_equivalence(oracles: GraphOracles, k: int, graph_id: str | None = None) -> EquivalenceRow:
     """Measure both directions of a reduction's claimed equivalence.
 
     Computes max-IS >= k with the graph oracle and LAPCS >= threshold with
     the sequence oracle, then records whether each implies the other. The
-    answers come from the entry of k's case in a :class:`GraphOracles`:
-    ``oracles`` when given, which must have been built for this graph,
-    theorem and budget, so that the rows of one graph compute each answer
-    once; otherwise a new one. An entry that holds a budget error gives a
-    skipped row, whose skip_reason is the error text.
+    graph, theorem, budget and α are the oracles', and the other answers
+    come from the entry of k's case, so the rows of one graph compute each
+    answer once. An entry that holds a budget error gives a skipped row,
+    whose skip_reason is the error text.
 
     Raises:
-        ValidationError: theorem is not "T1" or "T2", k is not an int >= 1,
-            or oracles were built for another graph, theorem or budget.
+        ValidationError: oracles is not a :class:`GraphOracles`, or k is not
+            an int >= 1.
     """
-    _check_theorem(theorem)
-    case, threshold = _case_and_threshold(theorem, g.n, k)
-    search_budget = _resolve_budget(search_budget)
-    if oracles is None:
-        oracles = GraphOracles(g, theorem, search_budget)
-    elif (oracles.graph, oracles.theorem, oracles.search_budget) != (g, theorem, search_budget):
-        raise ValidationError("oracles were built for another graph, theorem or budgets")
+    if type(oracles) is not GraphOracles:
+        raise ValidationError(f"oracles must be a GraphOracles, got {oracles!r}")
+    g = oracles.graph
+    case, threshold = _case_and_threshold(oracles.theorem, g.n, k)
     if graph_id is None:
-        graph_id = default_graph_id(g)
+        graph_id = f"g{g.n}-{g.edge_mask()}"
     entry = oracles.cases.get(case) or oracles.fill(case, k)
     # A row is the tuple of its fields in order, made by tuple.__new__: the
     # NamedTuple's constructor binds arguments in a Python frame, far slower.
@@ -617,7 +605,7 @@ def check_equivalence(
             None, str(entry),
         ))
     lapcs_len = entry.result.length
-    is_answer = entry.alpha >= k
+    is_answer = oracles.alpha >= k
     lapcs_answer = lapcs_len >= threshold
     forward_ok = (not is_answer) or lapcs_answer
     backward_ok = (not lapcs_answer) or is_answer

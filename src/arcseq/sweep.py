@@ -61,9 +61,10 @@ class SweepConfig:
     int (not a bool). graph_source is "exhaustive" or "random"; random mode
     draws `random_count` graphs per vertex count, each edge with
     `edge_probability` (an int or a float within [0, 1], not a bool), and
-    requires a seed. The vertex counts, random_count, max_exhaustive_n and
-    seed are ints too: a bool or a float is rejected. Every cap of the two
-    oracles is a field of search_budget, which checks them.
+    requires both and a seed, each checked whenever given, since the
+    summary echoes it. The vertex counts, random_count, max_exhaustive_n
+    and seed are ints too: a bool or a float is rejected. Every cap of the
+    two oracles is a field of search_budget, which checks them.
     """
 
     theorem: str
@@ -90,6 +91,11 @@ class SweepConfig:
             raise ValidationError("k_policy must be 'all' or a positive integer")
         if self.seed is not None:
             _require_int(self.seed, "seed")
+        count, p = self.random_count, self.edge_probability
+        if count is not None and (type(count) is not int or count < 0):
+            raise ValidationError(f"random_count must be an int >= 0, got {count!r}")
+        if p is not None and not _is_probability(p):
+            raise ValidationError(f"edge_probability must be within [0, 1], got {p!r}")
         if self.max_exhaustive_n is not None:
             _require_int(self.max_exhaustive_n, "max_exhaustive_n")
             if self.max_exhaustive_n < 1:
@@ -104,12 +110,9 @@ class SweepConfig:
                     "raise max_exhaustive_n explicitly to go further"
                 )
         elif self.graph_source == "random":
-            if self.seed is None:
-                raise ValidationError("random mode requires a seed")
-            if type(self.random_count) is not int or self.random_count < 0:
-                raise ValidationError("random mode requires random_count >= 0")
-            if not _is_probability(self.edge_probability):
-                raise ValidationError("random mode requires 0 <= edge_probability <= 1")
+            for name in ("seed", "random_count", "edge_probability"):
+                if getattr(self, name) is None:
+                    raise ValidationError(f"random mode requires {name}")
         else:
             raise ValidationError(f"unknown graph source {self.graph_source!r}")
         if self.output_csv is not None:
@@ -160,10 +163,10 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
 
     Each graph is evaluated once for all its k: its rows share one
     :class:`arcseq.reductions.GraphOracles`, bound to the sweep's theorem
-    and budget. Connectivity and the independence number are computed once
-    per graph, and the reduced instance is built and solved once per
-    (graph, case); k sets only the threshold, and a further row of a
-    solved case is one lookup.
+    and budget, which each row's check reads. Connectivity and the
+    independence number are computed once per graph, and the reduced
+    instance is built and solved once per (graph, case); k sets only the
+    threshold, and a further row of a solved case is one lookup.
 
     A row is spot-checked when its index is a multiple of ten, it is not
     skipped, and its pair fits the identity length budget: the exhaustive
@@ -177,9 +180,7 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     for gid, g in _iter_graphs(cfg):
         oracles = GraphOracles(g, cfg.theorem, cfg.search_budget)
         for k in _ks(cfg, g.n):
-            row = check_equivalence(
-                g, k, cfg.theorem, graph_id=gid, search_budget=cfg.search_budget, oracles=oracles
-            )
+            row = check_equivalence(oracles, k, gid)
             if len(rows) % SPOT_CHECK_STRIDE == 0 and not row.skipped:
                 inst = oracles.cases[_case_and_threshold(cfg.theorem, g.n, k)[0]].instance
                 if len(inst.a1) <= cfg.search_budget.max_identity_length:

@@ -160,6 +160,33 @@ MUTANTS = (
         (_FRAME,),
         "killed",
     ),
+    Mutant(
+        "check-equivalence-skips-the-door",
+        "reductions.py",
+        "    if type(oracles) is not GraphOracles:\n"
+        '        raise ValidationError(f"oracles must be a GraphOracles, got {oracles!r}")\n',
+        "",
+        ("tests/test_reductions.py::TestCheckEquivalence::test_oracles_are_the_only_door",),
+        "killed",
+    ),
+    Mutant(
+        "case-one-threshold-is-k",
+        "reductions.py",
+        'return "I", max(k, 2)',
+        'return "I", k',
+        ("tests/test_reductions.py::TestReduceTheorem2::"
+         "test_degenerate_instances_never_reach_threshold",),
+        "killed",
+    ),
+    Mutant(
+        "exhaustive-mode-values-unchecked",
+        "sweep.py",
+        "count, p = self.random_count, self.edge_probability\n",
+        "count, p = (self.random_count, self.edge_probability) if self.graph_source == "
+        '"random" else (None, None)\n',
+        ("tests/test_sweep.py::test_invalid_configs_rejected",),
+        "killed",
+    ),
 )
 
 

@@ -262,8 +262,11 @@ class TestReduceTheorem2:
             assert inst.provenance.case == "I"
 
     def test_degenerate_instances_never_reach_threshold(self):
-        for n in range(1, 4):
+        # Case I is a NO question (alpha <= n < k), so its threshold is out
+        # of the optimum's reach, on the empty graph at k = 1 too.
+        for n in range(0, 4):
             inst = reduce_theorem2(Graph(n, frozenset()), n + 1)
+            assert inst.provenance.case == "I"
             assert solve(inst.a1, inst.a2, inst.mc).length == 1 < inst.threshold
 
     def test_well_formed_for_all_small_graphs(self):
@@ -476,11 +479,9 @@ def test_non_integer_k_is_rejected(k):
         with pytest.raises(ValidationError, match="must be an integer"):
             reduce(TRIANGLE, k)
     for theorem in REDUCTIONS:
-        with pytest.raises(ValidationError, match="must be an integer"):
-            check_equivalence(TRIANGLE, k, theorem)
         oracles = GraphOracles(TRIANGLE, theorem)
         with pytest.raises(ValidationError, match="must be an integer"):
-            check_equivalence(TRIANGLE, k, theorem, oracles=oracles)
+            check_equivalence(oracles, k)
         assert oracles.cases == {}
 
 
@@ -494,7 +495,6 @@ BUDGET_ENTRY_POINTS = {
     "exact_search": lambda budget: exact_search(AB, AB, MatchConstraint.fragment(1), budget),
     "max_independent_set": lambda budget: max_independent_set(PATH3, budget),
     "GraphOracles": lambda budget: vars(GraphOracles(PATH3, "T1", budget)),
-    "check_equivalence": lambda budget: check_equivalence(PATH3, 2, "T1", search_budget=budget),
     "SweepConfig": lambda budget: (
         vars(cfg := SweepConfig("T1", (1, 3), search_budget=budget)),
         render_summary(run_sweep(cfg), cfg, {}),
@@ -574,21 +574,31 @@ class TestExtractIndependentSet:
 
 
 class TestCheckEquivalence:
+    @pytest.mark.parametrize("not_oracles", [TRIANGLE, None, {"graph": TRIANGLE}],
+                             ids=["graph", "none", "dict"])
+    def test_oracles_are_the_only_door(self, not_oracles):
+        # A graph is the first argument of the old form, check_equivalence(g,
+        # k, theorem): it is refused by name, not by an AttributeError.
+        with pytest.raises(ValidationError, match=re.escape(f"got {not_oracles!r}")):
+            check_equivalence(not_oracles, 1, "T1")
+        with pytest.raises(ValidationError, match="oracles must be a GraphOracles"):
+            check_equivalence(not_oracles, 1)
+
     def test_triangle_theorem1_satisfiable(self):
-        row = check_equivalence(TRIANGLE, 1, "T1")
+        row = check_equivalence(GraphOracles(TRIANGLE, "T1"), 1)
         assert row.is_answer and row.lapcs_answer
         assert row.forward_ok and row.backward_ok
         assert row.lapcs_len == 1
 
     def test_triangle_theorem1_unsatisfiable(self):
-        row = check_equivalence(TRIANGLE, 2, "T1")
+        row = check_equivalence(GraphOracles(TRIANGLE, "T1"), 2)
         assert not row.is_answer and not row.lapcs_answer
         assert row.forward_ok and row.backward_ok
 
     def test_triangle_theorem2_backward_counterexample(self):
         # Oracle-confirmed: the blocked instance reaches 15 - 3 = 12 >= 10
         # even though the triangle has no independent set of size 2.
-        row = check_equivalence(TRIANGLE, 2, "T2")
+        row = check_equivalence(GraphOracles(TRIANGLE, "T2"), 2)
         assert not row.is_answer
         assert row.lapcs_len == 12
         assert row.threshold == 10
@@ -598,12 +608,14 @@ class TestCheckEquivalence:
         assert row.counterexample
 
     def test_row_carries_graph_metadata(self):
-        row = check_equivalence(Graph(3, {(1, 2)}), 1, "T1", graph_id="probe")
+        oracles = GraphOracles(Graph(3, {(1, 2)}), "T1")
+        row = check_equivalence(oracles, 1, "probe")
         assert row.graph_id == "probe"
         assert row.n == 3 and row.m == 1 and not row.connected
+        assert check_equivalence(oracles, 1).graph_id == "g3-1"
 
     def test_budget_marks_row_skipped(self):
-        row = check_equivalence(Graph(6), 1, "T1", search_budget=SearchBudget(mis_max_vertices=5))
+        row = check_equivalence(GraphOracles(Graph(6), "T1", SearchBudget(mis_max_vertices=5)), 1)
         assert row.skipped and "budget" in row.skip_reason
         assert row.is_answer is None and row.lapcs_len is None
         assert row.threshold == 1
@@ -625,12 +637,13 @@ class TestCheckEquivalence:
                     for _, g in exhaustive_graphs(n):
                         ks = list(range(1, n + 2))
                         shuffled = rng.sample(ks, len(ks))
-                        fresh = {k: check_equivalence(g, k, theorem, **budget) for k in ks}
+                        fresh = {k: check_equivalence(GraphOracles(g, theorem, **budget), k)
+                                 for k in ks}
                         for order in (ks, ks[::-1], shuffled):
                             oracles = GraphOracles(g, theorem, **budget)
                             first_k = {}
                             for k in order:
-                                row = check_equivalence(g, k, theorem, oracles=oracles, **budget)
+                                row = check_equivalence(oracles, k)
                                 assert row == fresh[k]
                                 case, _ = reductions._case_and_threshold(theorem, g.n, k)
                                 entry = oracles.cases[case]
@@ -646,46 +659,14 @@ class TestCheckEquivalence:
                                 assert (row.threshold, kept.provenance.k) == (
                                     inst.threshold, first_k.setdefault(case, k)
                                 )
-                                assert entry.alpha == max_independent_set(g).size
+                                assert entry._fields == ("instance", "result")
+                                assert oracles.alpha == max_independent_set(g).size
                                 assert entry.result.length == row.lapcs_len
                             with pytest.raises(ValidationError):
-                                check_equivalence(g, 0, theorem, oracles=oracles, **budget)
+                                check_equivalence(oracles, 0)
         # Both kinds of skip: alpha over its budget, and a solve over its
         # node budget after alpha succeeded.
         assert reasons == {"graph", "independent-set"}
-
-    def test_oracles_of_another_graph_rejected(self):
-        with pytest.raises(ValidationError, match="another graph"):
-            check_equivalence(TRIANGLE, 1, "T1", oracles=GraphOracles(PATH3, "T1"))
-        # Oracles are bound to one theorem and one budget too.
-        budget = SearchBudget(max_nodes=9, mis_max_vertices=5)
-        oracles = GraphOracles(TRIANGLE, "T1", budget)
-        assert check_equivalence(
-            TRIANGLE, 1, "T1", search_budget=budget, oracles=oracles
-        ) == check_equivalence(TRIANGLE, 1, "T1", search_budget=budget)
-        for other in (
-            {"theorem": "T2", "search_budget": budget},
-            {"theorem": "T1", "search_budget": SearchBudget(max_nodes=10, mis_max_vertices=5)},
-            {"theorem": "T1", "search_budget": SearchBudget(mis_max_vertices=5)},
-            {"theorem": "T1", "search_budget": SearchBudget(max_nodes=9, mis_max_vertices=6)},
-            {"theorem": "T1"},
-        ):
-            with pytest.raises(ValidationError, match="theorem or budgets"):
-                check_equivalence(TRIANGLE, 1, oracles=oracles, **other)
-
-    def test_oracles_of_an_equal_graph_accepted(self):
-        # The guard tries identity first; an equal graph, or an equal budget,
-        # built apart passes.
-        twin = Graph(3, [(2, 3), (1, 3), (1, 2)])
-        assert twin is not TRIANGLE and twin == TRIANGLE
-        oracles = GraphOracles(TRIANGLE, "T1", SearchBudget())
-        for k in (1, 2):
-            row = check_equivalence(twin, k, "T1", search_budget=SearchBudget(400, 64),
-                                    oracles=oracles)
-            assert row == check_equivalence(TRIANGLE, k, "T1")
-        with pytest.raises(ValidationError, match="another graph"):
-            check_equivalence(Graph(3, [(1, 2), (1, 3)]), 1, "T1", search_budget=SearchBudget(),
-                              oracles=oracles)
 
     def test_equal_budgets_share_one_memo_entry(self, monkeypatch):
         solves = []
@@ -695,27 +676,25 @@ class TestCheckEquivalence:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(reductions, "solve", counting_solve)
-        # k = 1 and 2 are one T1 case, so the rows share one entry, and equal
-        # budgets built apart use the same oracles. None is the default
-        # budget, whichever side gives it.
-        for built_with in (SearchBudget(), None):
+        # k = 1 and 2 are one T1 case, so the rows share one entry, solved
+        # once with the oracles' budget. None is the default budget, and so
+        # is an equal budget built apart.
+        for built_with in (SearchBudget(), None, SearchBudget(400, 64),
+                           SearchBudget(400, 64, None, 20)):
             solves.clear()
             oracles = GraphOracles(TRIANGLE, "T1", built_with)
-            for k, budget in ((1, SearchBudget()), (2, SearchBudget()),
-                              (1, SearchBudget(400, 64)), (2, None),
-                              (1, SearchBudget(400, 64, None, 20))):
-                row = check_equivalence(TRIANGLE, k, "T1", search_budget=budget, oracles=oracles)
-                assert row.lapcs_len == 1
+            for k in (1, 2, 1, 2):
+                assert check_equivalence(oracles, k).lapcs_len == 1
             assert solves == [SearchBudget()]
+        solves.clear()
         for budget in (SearchBudget(max_nodes=50), SearchBudget(max_cells=10),
                        SearchBudget(mis_max_vertices=5)):
-            with pytest.raises(ValidationError, match="budgets"):
-                check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, oracles=oracles)
             own = GraphOracles(TRIANGLE, "T1", budget)
-            check_equivalence(TRIANGLE, 1, "T1", search_budget=budget, oracles=own)
-            check_equivalence(TRIANGLE, 2, "T1", search_budget=budget, oracles=own)
+            assert own.search_budget is budget
+            check_equivalence(own, 1)
+            check_equivalence(own, 2)
         assert solves == [
-            SearchBudget(), SearchBudget(max_nodes=50), SearchBudget(max_cells=10),
+            SearchBudget(max_nodes=50), SearchBudget(max_cells=10),
             SearchBudget(mis_max_vertices=5),
         ]
 
@@ -733,13 +712,15 @@ class TestCheckEquivalence:
         oracles = GraphOracles(TRIANGLE, "T2")
         assert calls == ["cap", "mis"]
         calls.clear()
-        first = check_equivalence(TRIANGLE, 1, "T2", oracles=oracles)
+        first = check_equivalence(oracles, 1)
         assert calls == ["case", "fill", "reduce", "case", "solve"]
         calls.clear()
-        rows = [check_equivalence(TRIANGLE, k, "T2", oracles=oracles) for k in (2, 3, 1)]
+        rows = [check_equivalence(oracles, k) for k in (2, 3, 1)]
         assert calls == ["case"] * 3
         monkeypatch.undo()
-        assert [first, *rows[:2]] == [check_equivalence(TRIANGLE, k, "T2") for k in (1, 2, 3)]
+        assert [first, *rows[:2]] == [
+            check_equivalence(GraphOracles(TRIANGLE, "T2"), k) for k in (1, 2, 3)
+        ]
 
     def test_budget_errors_are_kept_per_case_and_alpha_fails_first(self, monkeypatch):
         k4 = Graph(4, combinations(range(1, 5), 2))
@@ -770,11 +751,10 @@ class TestCheckEquivalence:
                 m.setattr(reductions, "solve", recording(calls, "solve", reductions.solve))
                 if mis_max_vertices not in shared:
                     shared[mis_max_vertices] = GraphOracles(k4, "T1", **kwargs)
-                rows = [check_equivalence(k4, k, "T1", oracles=shared[mis_max_vertices], **kwargs)
-                        for k in (1, 2, 3, 4, 1)]
+                rows = [check_equivalence(shared[mis_max_vertices], k) for k in (1, 2, 3, 4, 1)]
             assert calls == expected
             for k, row in zip((1, 2, 3, 4, 1), rows):
-                assert row == check_equivalence(k4, k, "T1", **kwargs)
+                assert row == check_equivalence(GraphOracles(k4, "T1", **kwargs), k)
                 assert row.skip_reason == reason
         # An alpha error is kept for every case: T2's cases I and II both
         # read the one failed search.
@@ -783,7 +763,7 @@ class TestCheckEquivalence:
             record_alpha(m)
             oracles = GraphOracles(k4, "T2", budgets[3])
             for k in (5, 1, 5, 2):
-                row = check_equivalence(k4, k, "T2", search_budget=budgets[3], oracles=oracles)
+                row = check_equivalence(oracles, k)
                 assert row.skip_reason == "graph with 4 vertices exceeds independent-set budget 3"
         assert calls == ["cap"]
         assert oracles.cases["I"] is oracles.cases["II"]
@@ -795,15 +775,14 @@ class TestCheckEquivalence:
     def test_theorem_name_validated(self, monkeypatch):
         # One check, at each entry point that takes a theorem name, with one
         # message; the oracles check it before their graph's alpha or
-        # connectivity is computed.
+        # connectivity is computed, and a row takes its theorem from them.
         calls = []
         for name, attr in (("mis", "independence_number"), ("solve", "solve")):
             monkeypatch.setattr(reductions, attr, recording(calls, name, getattr(reductions, attr)))
         monkeypatch.setattr(Graph, "is_connected", recording(calls, "connected", Graph.is_connected))
         for theorem in ("T3", "t1", "", None, 1, ["T1"]):
             message = re.escape(f"theorem must be 'T1' or 'T2', got {theorem!r}")
-            for enter in (lambda: check_equivalence(TRIANGLE, 1, theorem),
-                          lambda: GraphOracles(TRIANGLE, theorem),
+            for enter in (lambda: GraphOracles(TRIANGLE, theorem),
                           lambda: SweepConfig(theorem, (1, 2))):
                 with pytest.raises(ValidationError, match=message):
                     enter()
@@ -820,7 +799,7 @@ class TestCheckEquivalence:
 
     def test_lapcs_len_agrees_with_exhaustive_search(self):
         for k in (1, 2, 3):
-            row = check_equivalence(TRIANGLE, k, "T2")
+            row = check_equivalence(GraphOracles(TRIANGLE, "T2"), k)
             inst = reduce_theorem2(TRIANGLE, k)
             assert row.lapcs_len == exact_search(inst.a1, inst.a2, inst.mc).length
 

@@ -10,7 +10,7 @@ import pytest
 from arcseq import ValidationError, check_equivalence, reductions
 from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.solvers import SearchBudget
-from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow
+from arcseq.reductions import ROW_FIELDS, EquivalenceReport, EquivalenceRow, GraphOracles
 from arcseq.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -106,7 +106,7 @@ def test_skip_heavy_outputs_match_pinned_bytes(tmp_path, key):
 def test_rows_equal_one_check_per_graph_and_k(theorem, k_policy, budget):
     report = run_sweep(SweepConfig(theorem, (1, 4), k_policy=k_policy, **budget))
     expected = [
-        check_equivalence(g, k, theorem, graph_id=f"g{n}-{mask}", **budget)
+        check_equivalence(GraphOracles(g, theorem, **budget), k, f"g{n}-{mask}")
         for n in range(1, 5)
         for mask, g in exhaustive_graphs(n)
         for k in (range(1, n + 1) if k_policy == "all" else [k_policy])
@@ -358,6 +358,10 @@ def test_invalid_configs_rejected():
                 "T1", (1, 2), graph_source="random", random_count=count, edge_probability=0.5,
                 seed=1,
             )
+        # A given count is checked in exhaustive mode too: the summary echoes it.
+        if count is not None:
+            with pytest.raises(ValidationError, match=f"random_count .*got {count!r}"):
+                SweepConfig("T1", (1, 2), random_count=count)
     for value in (20.0, True, "20", -1):
         with pytest.raises(ValidationError, match="max_exhaustive_n"):
             SweepConfig("T1", (1, 2), max_exhaustive_n=value)
@@ -395,12 +399,20 @@ def test_invalid_configs_rejected():
         if p is not None:
             with pytest.raises(ValidationError, match="edge probability must be within"):
                 random_graph(random.Random(1), 3, p)
+            with pytest.raises(ValidationError, match="edge_probability"):
+                SweepConfig("T1", (1, 2), edge_probability=p)
+    with pytest.raises(ValidationError, match="edge_probability .*got 'x'"):
+        SweepConfig("T1", (1, 2), edge_probability="x")
     for p in (0, 1, 0.0, 0.5):
         cfg = SweepConfig(
             "T1", (1, 2), graph_source="random", random_count=0, edge_probability=p, seed=1
         )
         assert cfg.edge_probability == p
         assert random_graph(random.Random(1), 3, p).n == 3
+    # Valid random-mode values stay valid without random mode, as
+    # --edge-prob without --random is, and are echoed as given.
+    cfg = SweepConfig("T1", (1, 2), random_count=3, edge_probability=0.5)
+    assert (cfg.config_echo()["random_count"], cfg.config_echo()["edge_probability"]) == (3, 0.5)
 
 
 def test_summary_renders_as_json_dumps():
