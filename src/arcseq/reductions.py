@@ -525,9 +525,9 @@ def _check_theorem(theorem: str) -> None:
 class CaseAnswer(NamedTuple):
     """A case's answers: its reduced instance, kept whole, and the solver's
     result on the instance. One exists only when the graph's α is an int
-    (``GraphOracles.alpha``). The instance is the one built for the case's
-    first row: its threshold and ``provenance.k`` are that row's, not a
-    later row's."""
+    (``GraphOracles.alpha``). The instance is the one built for the first k
+    of its case that :meth:`GraphOracles.answer` was given: its threshold
+    and ``provenance.k`` are that k's, not a later k's."""
 
     instance: ReductionInstance
     result: SolveResult
@@ -542,11 +542,11 @@ class GraphOracles:
     :func:`arcseq.mis.independence_number`, which shares no code with the
     solver's engine, or else the :class:`BudgetError` that stopped it. A
     reduced instance depends on k only through its case (None for T1, "I"
-    or "II" for T2) and threshold, so ``cases`` holds one entry per case,
-    filled on the case's first row: a :class:`CaseAnswer`, whose instance
-    (built through ``REDUCTIONS[theorem]``, solved within the budget) keeps
-    that row's threshold and k, or the :class:`BudgetError` of α or of the
-    solve.
+    or "II" for T2) and threshold, so :meth:`answer` works both out from k
+    and ``cases`` holds one entry per case, filled on the case's first k: a
+    :class:`CaseAnswer`, whose instance (built through
+    ``REDUCTIONS[theorem]``, solved within the budget) keeps that k and its
+    threshold, or the :class:`BudgetError` of α or of the solve.
     """
 
     def __init__(self, g: Graph, theorem: str, search_budget: SearchBudget | None = None):
@@ -562,18 +562,23 @@ class GraphOracles:
             self.alpha = err.with_traceback(None)
         self.cases: dict[str | None, CaseAnswer | BudgetError] = {}
 
-    def fill(self, case: str | None, k: int) -> CaseAnswer | BudgetError:
-        """Compute and keep the entry of k's case, which the caller names."""
-        entry = self.alpha
-        if not isinstance(entry, BudgetError):
-            inst = REDUCTIONS[self.theorem](self.graph, k)
-            try:
-                result = solve(inst.a1, inst.a2, inst.mc, budget=self.search_budget)
-                entry = CaseAnswer(inst, result)
-            except BudgetError as err:
-                entry = err.with_traceback(None)
-        self.cases[case] = entry
-        return entry
+    def answer(self, k: int) -> tuple[int, CaseAnswer | BudgetError]:
+        """k's threshold and the entry of k's case, which is computed on the
+        case's first k and kept. A ValidationError names a k that is not an
+        int >= 1."""
+        case, threshold = _case_and_threshold(self.theorem, self.graph.n, k)
+        entry = self.cases.get(case)
+        if entry is None:
+            entry = self.alpha
+            if not isinstance(entry, BudgetError):
+                inst = REDUCTIONS[self.theorem](self.graph, k)
+                try:
+                    result = solve(inst.a1, inst.a2, inst.mc, budget=self.search_budget)
+                    entry = CaseAnswer(inst, result)
+                except BudgetError as err:
+                    entry = err.with_traceback(None)
+            self.cases[case] = entry
+        return threshold, entry
 
 
 def check_equivalence(oracles: GraphOracles, k: int, graph_id: str | None = None) -> EquivalenceRow:
@@ -581,10 +586,10 @@ def check_equivalence(oracles: GraphOracles, k: int, graph_id: str | None = None
 
     Computes max-IS >= k with the graph oracle and LAPCS >= threshold with
     the sequence oracle, then records whether each implies the other. The
-    graph, theorem, budget and α are the oracles', and the other answers
-    come from the entry of k's case, so the rows of one graph compute each
-    answer once. An entry that holds a budget error gives a skipped row,
-    whose skip_reason is the error text.
+    graph, theorem, budget and α are the oracles', and the threshold and
+    the other answers come from ``oracles.answer(k)``, so the rows of one
+    graph compute each answer once. An entry that holds a budget error
+    gives a skipped row, whose skip_reason is the error text.
 
     Raises:
         ValidationError: oracles is not a :class:`GraphOracles`, or k is not
@@ -592,11 +597,10 @@ def check_equivalence(oracles: GraphOracles, k: int, graph_id: str | None = None
     """
     if type(oracles) is not GraphOracles:
         raise ValidationError(f"oracles must be a GraphOracles, got {oracles!r}")
+    threshold, entry = oracles.answer(k)
     g = oracles.graph
-    case, threshold = _case_and_threshold(oracles.theorem, g.n, k)
     if graph_id is None:
         graph_id = f"g{g.n}-{g.edge_mask()}"
-    entry = oracles.cases.get(case) or oracles.fill(case, k)
     # A row is the tuple of its fields in order, made by tuple.__new__: the
     # NamedTuple's constructor binds arguments in a Python frame, far slower.
     if isinstance(entry, BudgetError):

@@ -29,7 +29,6 @@ from .reductions import (
     GraphOracles,
     REDUCTIONS,  # unused here; bench/test_bench.py reads sweep.REDUCTIONS
     ROW_FIELDS,
-    _case_and_threshold,
     _check_theorem,
     check_equivalence,
 )
@@ -182,7 +181,7 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
         for k in _ks(cfg, g.n):
             row = check_equivalence(oracles, k, gid)
             if len(rows) % SPOT_CHECK_STRIDE == 0 and not row.skipped:
-                inst = oracles.cases[_case_and_threshold(cfg.theorem, g.n, k)[0]].instance
+                inst = oracles.answer(k)[1].instance
                 if len(inst.a1) <= cfg.search_budget.max_identity_length:
                     spot["sampled"] += 1
                     try:
@@ -206,48 +205,39 @@ def run_sweep(cfg: SweepConfig) -> EquivalenceReport:
     return report
 
 
-# A cell's text is "skipped" for None, "true" or "false" for a bool, and
-# str() of any other value. A column whose values are all bools or None, or
-# all non-bools or None, is rendered by lookup; a column holding both kinds
-# value by value, since True == 1 and False == 0 share one dict key.
-_FLAG_CELLS = {True: "true", False: "false", None: "skipped"}
-_NONE_CELL = {None: "skipped"}
+def _cell(value: bool | int | str | None) -> str:
+    """A report cell's text: "skipped" for None, "true" or "false" for a bool,
+    and str() of any other value."""
+    if value is None:
+        return "skipped"
+    if type(value) is bool:
+        return "true" if value else "false"
+    return str(value)
 
 
 def _column_cells(values: tuple) -> Iterator[str]:
-    kinds = set(map(type, values))
-    if kinds <= {bool, type(None)}:
-        return map(_FLAG_CELLS.__getitem__, values)
-    if bool in kinds:
-        return (_FLAG_CELLS[v] if v is None or type(v) is bool else str(v) for v in values)
-    return map(_NONE_CELL.get, values, map(str, values))
+    """A column's cells by :func:`_cell`, each distinct value rendered once.
+    A column holding values of two kinds besides None goes value by value,
+    since equal values of two kinds (True and 1) share one dict key."""
+    if len(set(map(type, values)) - {type(None)}) > 1:
+        return map(_cell, values)
+    return map({v: _cell(v) for v in set(values)}.__getitem__, values)
 
 
 def row_cells(row: EquivalenceRow) -> dict[str, str]:
     """The row's report text, keyed by field name in ROW_FIELDS order.
 
-    The ``verify`` line prints these. Each field is rendered as a column of
-    one value by the column renderer that :func:`render_csv` uses.
+    The ``verify`` line prints these, by the cell rule :func:`render_csv` uses.
     """
-    return dict(zip(ROW_FIELDS, map(next, map(_column_cells, zip(row)))))
-
-
-# One report line, written by one % from the row's cells.
-_CSV_LINE = ",".join(["%s"] * len(ROW_FIELDS))
+    return dict(zip(ROW_FIELDS, map(_cell, row)))
 
 
 def render_csv(report: EquivalenceReport) -> str:
-    """The report as CSV text: the header, then one line per row.
-
-    Each line is ``row_cells(row)`` joined by commas, with no Python call
-    per cell: a column of exact ints or of exact strs is its own text under
-    %, and every other column goes through ``row_cells``' column renderer.
-    """
+    """The report as CSV text: the header, then one line per row, each
+    ``row_cells(row)`` joined by commas and rendered column by column."""
     columns = list(zip(*report.rows))[: len(ROW_FIELDS)]
-    cells = [
-        c if set(map(type, c)) in ({int}, {str}) else _column_cells(c) for c in columns
-    ]
-    return "\n".join([CSV_HEADER, *map(_CSV_LINE.__mod__, zip(*cells))]) + "\n"
+    lines = map(",".join, zip(*map(_column_cells, columns)))
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 # One counterexample object as json.dumps(indent=2, sort_keys=True) writes it

@@ -179,6 +179,15 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "answer-keys-every-case-under-none",
+        "reductions.py",
+        "        entry = self.cases.get(case)\n",
+        "        entry = self.cases.get(case := None)\n",
+        ("tests/test_reductions.py::TestCheckEquivalence::"
+         "test_an_entry_is_kept_under_the_case_of_its_k",),
+        "killed",
+    ),
+    Mutant(
         "exhaustive-mode-values-unchecked",
         "sweep.py",
         "count, p = self.random_count, self.edge_probability\n",

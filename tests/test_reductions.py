@@ -557,6 +557,32 @@ class TestExtractIndependentSet:
                 extracted = extract_independent_set(inst, Mapping.identity(vertices))
                 assert extracted == frozenset(vertices)
 
+    def test_blocked_forward_map_of_every_small_independent_set(self):
+        # Without the solver: for an independent set I, matching every
+        # position of I's blocks is a valid, arc-preserving mapping, since
+        # brackets lie within a block on both sides and no edge arc joins
+        # two blocks of I. Its length |I|(n+2) reaches the threshold of
+        # k = |I|, and the backward map gives I back.
+        seen = 0
+        for n in range(1, 5):
+            width = n + 2
+            for _, g in exhaustive_graphs(n):
+                for size in range(1, n + 1):
+                    for members in combinations(range(1, n + 1), size):
+                        if any(i in members and j in members for i, j in g.edges):
+                            continue
+                        inst = reduce_theorem2(g, size)
+                        m = Mapping.identity(
+                            p for v in members for p in range((v - 1) * width + 1, v * width + 1)
+                        )
+                        core.validate_mapping(m, inst.a1, inst.a2)
+                        assert all(inst.mc.allows(i, j) for i, j in m.pairs)
+                        assert core.is_arc_preserving(m, inst.a1, inst.a2)
+                        assert len(m) == size * width >= inst.threshold
+                        assert extract_independent_set(inst, m) == frozenset(members)
+                        seen += 1
+        assert seen == 524
+
     def test_non_independent_block_set_warns(self):
         # Doctored instance: drop the edge arc so both blocks can fully match.
         real = reduce_theorem2(SINGLE_EDGE, 1)
@@ -647,6 +673,7 @@ class TestCheckEquivalence:
                                 assert row == fresh[k]
                                 case, _ = reductions._case_and_threshold(theorem, g.n, k)
                                 entry = oracles.cases[case]
+                                assert oracles.answer(k) == (row.threshold, entry)
                                 if row.skipped:
                                     assert isinstance(entry, BudgetError)
                                     assert str(entry) == row.skip_reason
@@ -700,27 +727,44 @@ class TestCheckEquivalence:
 
     def test_a_warm_row_is_one_lookup(self, monkeypatch):
         # Alpha's cap check and alpha run when the oracles are built. Once a
-        # case has a row, a further row of that case works out its case and
-        # threshold once and reads its entry, with no alpha cap check,
-        # alpha, reduce or solve call.
+        # case has a row, a further row of that case asks the oracles once,
+        # which work out its case and threshold once and read its entry,
+        # with no alpha cap check, alpha, reduce or solve call.
         calls = []
         for name, attr in (("case", "_case_and_threshold"), ("cap", "_check_mis_fits"),
                            ("mis", "independence_number"), ("solve", "solve")):
             monkeypatch.setattr(reductions, attr, recording(calls, name, getattr(reductions, attr)))
         monkeypatch.setitem(REDUCTIONS, "T2", recording(calls, "reduce", REDUCTIONS["T2"]))
-        monkeypatch.setattr(GraphOracles, "fill", recording(calls, "fill", GraphOracles.fill))
+        monkeypatch.setattr(GraphOracles, "answer", recording(calls, "answer", GraphOracles.answer))
         oracles = GraphOracles(TRIANGLE, "T2")
         assert calls == ["cap", "mis"]
         calls.clear()
         first = check_equivalence(oracles, 1)
-        assert calls == ["case", "fill", "reduce", "case", "solve"]
+        assert calls == ["answer", "case", "reduce", "case", "solve"]
         calls.clear()
         rows = [check_equivalence(oracles, k) for k in (2, 3, 1)]
-        assert calls == ["case"] * 3
+        assert calls == ["answer", "case"] * 3
         monkeypatch.undo()
         assert [first, *rows[:2]] == [
             check_equivalence(GraphOracles(TRIANGLE, "T2"), k) for k in (1, 2, 3)
         ]
+
+    def test_an_entry_is_kept_under_the_case_of_its_k(self):
+        # The oracles work out k's case themselves: the case-II entry of
+        # k = 1 is not read by a row at k = 4 (case I), which builds its own.
+        # Once the caller named the case, and an entry of case II kept under
+        # "I" gave this row lapcs_len=12 and a spurious backward failure.
+        oracles = GraphOracles(TRIANGLE, "T2")
+        threshold, entry = oracles.answer(1)
+        assert threshold == 5 and entry.instance.provenance.case == "II"
+        row = check_equivalence(oracles, 4)
+        assert row == check_equivalence(GraphOracles(TRIANGLE, "T2"), 4)
+        assert (row.lapcs_len, row.threshold, row.lapcs_answer, row.backward_ok) == (
+            1, 4, False, True
+        )
+        assert list(oracles.cases) == ["II", "I"]
+        assert oracles.cases["II"] is entry
+        assert oracles.cases["I"].instance.provenance.case == "I"
 
     def test_budget_errors_are_kept_per_case_and_alpha_fails_first(self, monkeypatch):
         k4 = Graph(4, combinations(range(1, 5), 2))

@@ -254,18 +254,18 @@ def test_skipped_rows_rendered_distinctly(tmp_path):
 
 
 def test_csv_lines_are_the_row_cells():
-    # render_csv writes each line by one %, passing exact-int and exact-str
-    # columns through as they are and every other column through the column
-    # renderer; each line must still be the row's own cells, and each cell
-    # what one call per value gave. The reports: no rows; all completed rows;
-    # and completed and skipped rows mixed, whose last row puts an int among
-    # the bools of a flag column and a bool among ints.
+    # render_csv renders each distinct value of a column once; each line
+    # must still be the row's own cells, and each cell what one call per
+    # value gave. The reports: no rows; all completed rows; and completed and
+    # skipped rows mixed, whose last row puts an int among the bools of a
+    # flag column, a bool among ints and a float among ints, each equal to
+    # a value of the other kind in its column.
     completed = run_sweep(SweepConfig("T1", (1, 3))).rows
     assert completed and not any(r.skipped for r in completed)
     rows = completed + run_sweep(
         SweepConfig("T1", (3, 3), k_policy=1, search_budget=SearchBudget(mis_max_vertices=2))
     ).rows
-    rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1))
+    rows.append(rows[0]._replace(graph_id="odd", n=True, connected=1, k=1.0))
     assert any(r.skipped for r in rows) and not all(r.skipped for r in rows)
     for r in rows:
         assert row_cells(r) == dict(zip(ROW_FIELDS, map(per_value_cell, r)))
@@ -274,6 +274,7 @@ def test_csv_lines_are_the_row_cells():
         expected = [CSV_HEADER] + [",".join(row_cells(r).values()) for r in report_rows]
         assert text == "\n".join(expected) + "\n"
     assert text.splitlines()[-1].startswith("odd,true,")
+    assert text.splitlines()[-1].split(",")[3:5] == ["1", "1.0"]
 
 
 @pytest.mark.parametrize(
