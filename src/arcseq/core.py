@@ -26,10 +26,9 @@ Matches can additionally be restricted by a :class:`MatchConstraint`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import IntEnum
 from operator import lt
-from typing import Iterable
 
 from .errors import ValidationError
 
@@ -59,11 +58,55 @@ def _require_int(value, what: str) -> None:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _trusted(cls, **fields):
-    """A frozen dataclass instance from canonical fields, skipping its checks.
+class _Record:
+    """A frozen value whose fields are named, in order, by the class's
+    ``_fields``; the constructor checks its arguments and stores the fields
+    in the instance ``__dict__``.
 
-    Only for values valid by construction: ``__post_init__`` does not run.
-    The public constructors keep every check.
+    ``==`` compares the fields of two instances of one class and leaves any
+    other operand to NotImplemented, the hash is the field tuple's, the repr
+    names each field, and assigning or deleting an attribute raises
+    AttributeError, as for ``@dataclass(frozen=True)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _MutableRecord(_Record):
+    """A :class:`_Record` whose fields can be assigned and deleted, and so,
+    as for ``@dataclass``, with no hash."""
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+def _trusted(cls, **fields):
+    """A :class:`_Record` instance from canonical fields, skipping its checks.
+
+    Only for values valid by construction: ``__init__`` does not run. The
+    public constructors keep every check.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -124,8 +167,7 @@ def _canonical_arcs(arcs: Iterable[Arc], n: int) -> frozenset[Arc]:
     return frozenset(canon)
 
 
-@dataclass(frozen=True)
-class AnnotatedSequence:
+class AnnotatedSequence(_Record):
     """A sequence plus a set of arcs linking pairs of its positions.
 
     Arcs are canonicalized on construction: stored as (i, j) with i < j,
@@ -133,11 +175,10 @@ class AnnotatedSequence:
     are immutable.
     """
 
-    seq: str
-    arcs: frozenset[Arc] = frozenset()
+    _fields = ("seq", "arcs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", _canonical_arcs(self.arcs, len(self.seq)))
+    def __init__(self, seq: str, arcs: Iterable[Arc] = frozenset()):
+        self.__dict__.update(seq=seq, arcs=_canonical_arcs(arcs, len(seq)))
 
     def __len__(self) -> int:
         return len(self.seq)
@@ -203,8 +244,7 @@ def classify_structure(arcs: Iterable[Arc], n: int) -> StructureLevel:
     return StructureLevel.CHAIN
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(_Record):
     """Order-preserving bijective partial matching between two sequences.
 
     `pairs` holds (i, j) position pairs, strictly increasing in both
@@ -213,11 +253,11 @@ class Mapping:
     sequences and is checked by :func:`validate_mapping`.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: Iterable[tuple[int, int]]):
         # Types first: sorting pairs of mixed types would raise TypeError.
-        pairs = tuple(self.pairs)
+        pairs = tuple(pairs)
         for i, j in pairs:
             if type(i) is not int or type(j) is not int:
                 raise ValidationError(f"mapping pair ({i!r}, {j!r}) has a non-integer position")
@@ -231,7 +271,7 @@ class Mapping:
                     "mapping pairs must be strictly increasing in both coordinates"
                 )
             prev_i, prev_j = i, j
-        object.__setattr__(self, "pairs", ordered)
+        self.__dict__.update(pairs=ordered)
 
     @classmethod
     def identity(cls, positions: Iterable[int]) -> "Mapping":
@@ -282,8 +322,7 @@ def is_arc_preserving(m: Mapping, a1: AnnotatedSequence, a2: AnnotatedSequence) 
 _KINDS = ("unconstrained", "fragment", "diagonal")
 
 
-@dataclass(frozen=True)
-class MatchConstraint:
+class MatchConstraint(_Record):
     """Restriction on which position pairs (i, j) may be matched.
 
     fragment(c): both sequences are cut into blocks of length c (the last
@@ -292,20 +331,20 @@ class MatchConstraint:
     and diagonal(0) both force i == j.
     """
 
-    kind: str
-    c: int | None = None
+    _fields = ("kind", "c")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "unconstrained" and self.c is not None:
+    def __init__(self, kind: str, c: int | None = None):
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown constraint kind {kind!r}")
+        if kind == "unconstrained" and c is not None:
             raise ValidationError("unconstrained constraint takes no width")
-        if self.c is not None:
-            _require_int(self.c, "constraint width c")
-        if self.kind == "fragment" and (self.c is None or self.c < 1):
+        if c is not None:
+            _require_int(c, "constraint width c")
+        if kind == "fragment" and (c is None or c < 1):
             raise ValidationError("fragment constraint requires c >= 1")
-        if self.kind == "diagonal" and (self.c is None or self.c < 0):
+        if kind == "diagonal" and (c is None or c < 0):
             raise ValidationError("diagonal constraint requires c >= 0")
+        self.__dict__.update(kind=kind, c=c)
 
     @classmethod
     def unconstrained(cls) -> "MatchConstraint":

@@ -7,7 +7,7 @@ reproduce identical instances.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from collections.abc import Iterator
 
 from .core import AnnotatedSequence, Arc, StructureLevel
 from .errors import ValidationError

@@ -41,10 +41,10 @@ from __future__ import annotations
 import functools
 import threading
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import compress, filterfalse
 from operator import attrgetter
-from typing import Iterable, NamedTuple
 
 from .core import (
     AnnotatedSequence,
@@ -52,6 +52,8 @@ from .core import (
     Mapping,
     MatchConstraint,
     StructureLevel,
+    _MutableRecord,
+    _Record,
     _require_int,
     _trusted,
     is_arc_preserving,
@@ -59,7 +61,7 @@ from .core import (
 )
 from .errors import BudgetError, ValidationError
 from .mis import NeighborMasks, bit_flags, independence_number, lexmin_maximum_independent_set
-from .solvers import SearchBudget, SolveResult, _resolve_budget, solve
+from .solvers import SearchBudget, _resolve_budget, solve
 
 __all__ = [
     "Graph",
@@ -84,8 +86,7 @@ class IndependenceViolationWarning(UserWarning):
     """An extracted vertex set is not independent in the source graph."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Simple undirected graph on vertices 1..n.
 
     n and the edge endpoints are ints. Edges are canonicalized to (i, j)
@@ -93,23 +94,22 @@ class Graph:
     required.
     """
 
-    n: int
-    edges: frozenset[Arc] = frozenset()
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
+    def __init__(self, n: int, edges: Iterable[Arc] = frozenset()):
+        _check_vertex_count(n)
         canon = set()
-        for i, j in self.edges:
+        for i, j in edges:
             if type(i) is not int or type(j) is not int:
                 raise ValidationError(f"edge ({i!r}, {j!r}) has a non-integer endpoint")
             if i == j:
                 raise ValidationError(f"loop at vertex {i} not allowed")
             if i > j:
                 i, j = j, i
-            if i < 1 or j > self.n:
-                raise ValidationError(f"edge ({i}, {j}) outside vertices 1..{self.n}")
+            if i < 1 or j > n:
+                raise ValidationError(f"edge ({i}, {j}) outside vertices 1..{n}")
             canon.add((i, j))
-        object.__setattr__(self, "edges", frozenset(canon))
+        self.__dict__.update(n=n, edges=frozenset(canon))
 
     @property
     def m(self) -> int:
@@ -194,9 +194,7 @@ def _edge_universe(n: int) -> tuple[Arc, ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-class MaxIndependentSet(NamedTuple):
-    size: int
-    vertices: tuple[int, ...]
+MaxIndependentSet = namedtuple("MaxIndependentSet", ("size", "vertices"))
 
 
 def _check_mis_fits(n: int, cap: int) -> None:
@@ -229,23 +227,20 @@ def independence_violations(g: Graph, vertices: Iterable[int]) -> set[Arc]:
     return {(i, j) for i, j in g.edges if i in vs and j in vs}
 
 
-class Provenance(NamedTuple):
-    """Which construction produced an instance, and from what."""
+class Provenance(namedtuple("Provenance", ("theorem", "case", "graph", "k"))):
+    """Which construction produced an instance, and from what: the theorem
+    ("T1" or "T2"), the case ("I" or "II" for T2, None for T1), the
+    :class:`Graph` and k."""
 
-    theorem: str  # "T1" | "T2"
-    case: str | None  # "I" | "II" for T2, None for T1
-    graph: Graph
-    k: int
+    __slots__ = ()
 
 
-class ReductionInstance(NamedTuple):
+class ReductionInstance(
+    namedtuple("ReductionInstance", ("a1", "a2", "mc", "threshold", "provenance"))
+):
     """A reduced decision instance, as a named tuple: sequences, constraint, threshold."""
 
-    a1: AnnotatedSequence
-    a2: AnnotatedSequence
-    mc: MatchConstraint
-    threshold: int
-    provenance: Provenance
+    __slots__ = ()
 
 
 # The same-position constraint of both constructions.
@@ -419,27 +414,21 @@ def extract_independent_set(inst: ReductionInstance, m: Mapping) -> frozenset[in
     return vertices
 
 
-class EquivalenceRow(NamedTuple):
+class EquivalenceRow(namedtuple("EquivalenceRow", (
+    "graph_id", "n", "m", "connected", "k", "is_answer", "lapcs_len", "threshold",
+    "lapcs_answer", "forward_ok", "backward_ok", "skip_reason",
+), defaults=(None,))):
     """One measured (graph, k) comparison between the two oracles.
 
     The fields before skip_reason are the report columns in report order
-    (:data:`ROW_FIELDS`). For skipped rows (a budget was exceeded) the
-    measured fields are None and skip_reason says why; threshold is always
+    (:data:`ROW_FIELDS`). graph_id is a str; connected, is_answer,
+    lapcs_answer, forward_ok and backward_ok are bools; the others are ints.
+    For skipped rows (a budget was exceeded) the measured fields are None
+    and skip_reason says why (it is None otherwise); threshold is always
     available.
     """
 
-    graph_id: str
-    n: int
-    m: int
-    connected: bool
-    k: int
-    is_answer: bool | None
-    lapcs_len: int | None
-    threshold: int
-    lapcs_answer: bool | None
-    forward_ok: bool | None
-    backward_ok: bool | None
-    skip_reason: str | None = None
+    __slots__ = ()
 
     @property
     def skipped(self) -> bool:
@@ -457,12 +446,14 @@ ROW_FIELDS = EquivalenceRow._fields[:-1]
 _forward_ok, _backward_ok, _skip_reason = map(attrgetter, EquivalenceRow._fields[-3:])
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(_MutableRecord):
     """Collected rows of an equivalence sweep plus derived summaries."""
 
-    theorem: str
-    rows: list[EquivalenceRow]
+    _fields = ("theorem", "rows")
+
+    def __init__(self, theorem: str, rows: list[EquivalenceRow]):
+        self.theorem = theorem
+        self.rows = rows
 
     @property
     def counterexamples(self) -> list[EquivalenceRow]:
@@ -522,15 +513,14 @@ def _check_theorem(theorem: str) -> None:
         raise ValidationError(f"theorem must be 'T1' or 'T2', got {theorem!r}")
 
 
-class CaseAnswer(NamedTuple):
-    """A case's answers: its reduced instance, kept whole, and the solver's
-    result on the instance. One exists only when the graph's α is an int
-    (``GraphOracles.alpha``). The instance is the one built for the first k
-    of its case that :meth:`GraphOracles.answer` was given: its threshold
-    and ``provenance.k`` are that k's, not a later k's."""
+class CaseAnswer(namedtuple("CaseAnswer", ("instance", "result"))):
+    """A case's answers: its :class:`ReductionInstance`, kept whole, and the
+    solver's :class:`SolveResult` on it. One exists only when the graph's α
+    is an int (``GraphOracles.alpha``). The instance is the one built for
+    the first k of its case that :meth:`GraphOracles.answer` was given: its
+    threshold and ``provenance.k`` are that k's, not a later k's."""
 
-    instance: ReductionInstance
-    result: SolveResult
+    __slots__ = ()
 
 
 class GraphOracles:
@@ -602,7 +592,7 @@ def check_equivalence(oracles: GraphOracles, k: int, graph_id: str | None = None
     if graph_id is None:
         graph_id = f"g{g.n}-{g.edge_mask()}"
     # A row is the tuple of its fields in order, made by tuple.__new__: the
-    # NamedTuple's constructor binds arguments in a Python frame, far slower.
+    # named tuple's __new__ binds arguments in a Python frame, far slower.
     if isinstance(entry, BudgetError):
         return tuple.__new__(EquivalenceRow, (
             graph_id, g.n, len(g.edges), oracles.connected, k, None, None, threshold, None, None,

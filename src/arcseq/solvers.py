@@ -24,11 +24,10 @@ then S2 position), so outputs are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import eq
 
-from .core import AnnotatedSequence, Mapping, MatchConstraint, _require_int, _trusted
+from .core import AnnotatedSequence, Mapping, MatchConstraint, _Record, _require_int, _trusted
 from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
 from .mis import NeighborMasks, adjacency, lexmin_maximum_independent_set
 
@@ -43,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Hard limits for :func:`exact_search` and the graph side of
     :mod:`arcseq.reductions`, checked here only.
 
@@ -65,25 +63,32 @@ class SearchBudget:
             is below 1.
     """
 
-    max_cells: int = 400
-    max_identity_length: int = 64
-    max_nodes: int | None = None
-    mis_max_vertices: int = 20
+    _fields = ("max_cells", "max_identity_length", "max_nodes", "mis_max_vertices")
 
-    def __post_init__(self):
-        _require_int(self.max_cells, "max_cells")
-        _require_int(self.max_identity_length, "max_identity_length")
-        _require_int(self.mis_max_vertices, "mis_max_vertices")
-        if self.max_nodes is not None:
-            _require_int(self.max_nodes, "max_nodes")
-        if min(self.max_cells, self.max_identity_length, self.mis_max_vertices) < 0:
+    def __init__(
+        self,
+        max_cells: int = 400,
+        max_identity_length: int = 64,
+        max_nodes: int | None = None,
+        mis_max_vertices: int = 20,
+    ):
+        _require_int(max_cells, "max_cells")
+        _require_int(max_identity_length, "max_identity_length")
+        _require_int(mis_max_vertices, "mis_max_vertices")
+        if max_nodes is not None:
+            _require_int(max_nodes, "max_nodes")
+        if min(max_cells, max_identity_length, mis_max_vertices) < 0:
             raise ValidationError(
-                f"search budget caps must be >= 0, got max_cells={self.max_cells}, "
-                f"max_identity_length={self.max_identity_length}, "
-                f"mis_max_vertices={self.mis_max_vertices}"
+                f"search budget caps must be >= 0, got max_cells={max_cells}, "
+                f"max_identity_length={max_identity_length}, "
+                f"mis_max_vertices={mis_max_vertices}"
             )
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValidationError(f"max_nodes must be >= 1, got {self.max_nodes}")
+        if max_nodes is not None and max_nodes < 1:
+            raise ValidationError(f"max_nodes must be >= 1, got {max_nodes}")
+        self.__dict__.update(
+            max_cells=max_cells, max_identity_length=max_identity_length,
+            max_nodes=max_nodes, mis_max_vertices=mis_max_vertices,
+        )
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -98,18 +103,19 @@ def _resolve_budget(budget: SearchBudget | None) -> SearchBudget:
     return budget
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an exact solve.
 
     Every solver in this module is exact, and length always equals
     len(witness.pairs). stats carries solver-specific diagnostics
-    (explored nodes, table sizes, conflict counts).
+    (explored nodes, table sizes, conflict counts), a fresh empty dict when
+    none is given.
     """
 
-    length: int
-    witness: Mapping
-    stats: dict = field(default_factory=dict)
+    _fields = ("length", "witness", "stats")
+
+    def __init__(self, length: int, witness: Mapping, stats: dict | None = None):
+        self.__dict__.update(length=length, witness=witness, stats={} if stats is None else stats)
 
 
 def _plain_string(s: str | AnnotatedSequence, side: str) -> str:

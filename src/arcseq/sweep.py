@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
 
-from .core import _require_int
+from .core import _MutableRecord, _require_int
 from .errors import ArcseqError, BudgetError, ValidationError
 from .generate import _is_probability, exhaustive_graphs, random_graph
 from .reductions import (
@@ -52,8 +51,7 @@ DEFAULT_EXHAUSTIVE_CAP = {"T1": 6, "T2": 4}
 SPOT_CHECK_STRIDE = 10
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(_MutableRecord):
     """What to sweep and within which budget.
 
     k_policy is either the string "all" (k = 1..n per graph) or a fixed
@@ -66,18 +64,29 @@ class SweepConfig:
     two oracles is a field of search_budget, which checks them.
     """
 
-    theorem: str
-    n_range: tuple[int, int]
-    k_policy: int | str = "all"
-    graph_source: str = "exhaustive"
-    random_count: int | None = None
-    edge_probability: float | None = None
-    seed: int | None = None
-    search_budget: SearchBudget = DEFAULT_BUDGET
-    max_exhaustive_n: int | None = None
-    output_csv: Path | None = None
+    _fields = (
+        "theorem", "n_range", "k_policy", "graph_source", "random_count", "edge_probability",
+        "seed", "search_budget", "max_exhaustive_n", "output_csv",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        theorem: str,
+        n_range: tuple[int, int],
+        k_policy: int | str = "all",
+        graph_source: str = "exhaustive",
+        random_count: int | None = None,
+        edge_probability: float | None = None,
+        seed: int | None = None,
+        search_budget: SearchBudget | None = DEFAULT_BUDGET,
+        max_exhaustive_n: int | None = None,
+        output_csv: Path | None = None,
+    ):
+        self.__dict__.update(
+            theorem=theorem, n_range=n_range, k_policy=k_policy, graph_source=graph_source,
+            random_count=random_count, edge_probability=edge_probability, seed=seed,
+            search_budget=search_budget, max_exhaustive_n=max_exhaustive_n, output_csv=output_csv,
+        )
         _check_theorem(self.theorem)
         self.search_budget = _resolve_budget(self.search_budget)
         lo, hi = self.n_range
@@ -133,7 +142,7 @@ class SweepConfig:
             "random_count": self.random_count,
             "edge_probability": self.edge_probability,
             "seed": self.seed,
-            "budget": asdict(self.search_budget),
+            "budget": dict(zip(SearchBudget._fields, self.search_budget._values())),
         }
 
 

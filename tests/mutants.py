@@ -45,6 +45,7 @@ _ENTRY_POINTS = "tests/test_reductions.py::test_budget_is_checked_at_every_entry
 _FLAGS = ("tests/test_solvers.py::TestConflictGraph::"
           "test_equal_sequences_flag_what_the_per_position_compare_flags")
 _FRAME = "tests/test_reductions.py::TestBlockedFrame"
+_VALUES = "tests/test_value_classes.py"
 
 MUTANTS = (
     Mutant(
@@ -194,6 +195,39 @@ MUTANTS = (
         "count, p = (self.random_count, self.edge_probability) if self.graph_source == "
         '"random" else (None, None)\n',
         ("tests/test_sweep.py::test_invalid_configs_rejected",),
+        "killed",
+    ),
+    Mutant(
+        "record-eq-ignores-the-type",
+        "core.py",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, _Record):\n",
+        (f"{_VALUES}::test_equality_is_field_by_field_within_one_class",),
+        "killed",
+    ),
+    Mutant(
+        "record-hash-drops-a-field",
+        "core.py",
+        "        return hash(self._values())\n",
+        "        return hash(self._values()[1:])\n",
+        (f"{_VALUES}::test_frozen_classes_hash_their_field_values",),
+        "killed",
+    ),
+    Mutant(
+        "frozen-record-lets-an-assignment-through",
+        "core.py",
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        (f"{_VALUES}::test_frozen_classes_reject_assignment_and_deletion",),
+        "killed",
+    ),
+    Mutant(
+        "budgets-compared-by-identity",
+        "solvers.py",
+        '"max_nodes", "mis_max_vertices")\n',
+        '"max_nodes", "mis_max_vertices")\n    __eq__, __hash__ = object.__eq__, object.__hash__\n',
+        ("tests/test_reductions.py::TestCheckEquivalence::"
+         "test_equal_budgets_share_one_memo_entry",),
         "killed",
     ),
 )

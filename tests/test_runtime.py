@@ -24,6 +24,12 @@ print("\\n".join(sorted(after - before)))
 """
 
 
+# Standard-library modules that no arcseq module may load, for their import
+# cost at every start of the CLI: dataclasses pulls in inspect, ast, dis and
+# tokenize.
+UNLOADED = {"dataclasses", "typing"}
+
+
 def test_importing_every_module_loads_only_the_standard_library():
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", PROBE, str(ROOT / "src"), *MODULES],
@@ -36,3 +42,4 @@ def test_importing_every_module_loads_only_the_standard_library():
     assert "arcseq" in loaded and "arcseq.cli" in MODULES
     allowed = sys.stdlib_module_names | set(sys.builtin_module_names) | {"arcseq"}
     assert [name for name in loaded if name not in allowed] == []
+    assert UNLOADED & set(loaded) == set()
