@@ -6,7 +6,9 @@ smallest optimum: the exhaustive solver's identity route and
 :class:`NeighborMasks`, built once from its edges: Python-int bitmasks over
 the vertices' ranks in sorted order, after the bit-parallel maximum-clique
 search of San Segundo et al. (2011), "An exact bit-parallel algorithm for
-the maximum clique problem", applied here to independent sets.
+the maximum clique problem", applied here to independent sets. It is the
+package's one graph form: :func:`arcseq.solvers.build_conflict_graph`
+returns one, and as a mapping it reads as each label's neighbour set.
 :func:`independence_number`, the size alone, is the reduction checker's
 graph-side oracle. Both keep their own stack, so their depth is not limited
 by Python's recursion limit.
@@ -14,28 +16,12 @@ by Python's recursion limit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping as MappingABC, Set
+from collections.abc import Iterable, Mapping as MappingABC
 from itertools import compress
 
-from .errors import BudgetError
+from .errors import BudgetError, ValidationError
 
-__all__ = ["NeighborMasks", "adjacency", "independence_number", "lexmin_maximum_independent_set"]
-
-
-def adjacency(
-    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
-) -> dict[int, set[int]]:
-    """Neighbour sets of an undirected graph, one (possibly empty) per vertex.
-
-    Keys follow the order of ``vertices``. Edges with an endpoint outside
-    ``vertices`` are left out.
-    """
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for p, q in edges:
-        if p in adj and q in adj:
-            adj[p].add(q)
-            adj[q].add(p)
-    return adj
+__all__ = ["NeighborMasks", "independence_number", "lexmin_maximum_independent_set"]
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -55,9 +41,9 @@ class NeighborMasks(MappingABC):
     ``order`` holds the labels in ascending order; bit j of ``masks[i]`` is
     set when the labels of ranks i < j are adjacent. An edge may be listed
     in either direction, more than once; loops and edges leaving
-    ``vertices`` are left out, as :func:`adjacency` leaves them out. Bit i
-    of ``touched`` is set when the label of rank i has a neighbour. As a
-    read-only mapping, a label's value is its full neighbour set.
+    ``vertices`` are left out. Bit i of ``touched`` is set when the label
+    of rank i has a neighbour. As a read-only mapping, a label's value is
+    its full neighbour set.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -97,8 +83,8 @@ class NeighborMasks(MappingABC):
 
 
 def lexmin_maximum_independent_set(
-    vertices: Iterable[int],
-    neighbors: MappingABC[int, Set[int]],
+    vertices: NeighborMasks,
+    neighbors: NeighborMasks,
     max_nodes: int | None = None,
 ) -> tuple[int, tuple[int, ...], int]:
     """Exact maximum independent set with a deterministic witness.
@@ -120,20 +106,18 @@ def lexmin_maximum_independent_set(
     isolated vertices to two sets of equal size keeps their order, so
     witness and node count are those of the search on the other vertices.
 
-    Called as ``(masks, masks)`` with one :class:`NeighborMasks`, it reads
-    them as they are; any other mapping is turned into one, so neighbour
-    sets may list an edge on one side only, or name labels outside
-    ``vertices``.
+    It is called as ``(masks, masks)`` with one :class:`NeighborMasks`; the
+    two parameter names stay because the benchmark's tracer reads them.
 
     Returns:
         (size, witness, explored_node_count)
 
     Raises:
+        ValidationError: the arguments are not one NeighborMasks, twice.
         BudgetError: more than max_nodes search nodes were explored.
     """
     if not (vertices is neighbors and isinstance(neighbors, NeighborMasks)):
-        labels = set(vertices)
-        neighbors = NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
+        raise ValidationError("the independent-set search takes (masks, masks), one NeighborMasks")
     order, touched = neighbors.order, neighbors.touched
     nbr = [0, *neighbors.masks]  # indexed by a vertex bit's bit_length()
     isolated = (1 << len(order)) - 1 ^ touched

@@ -29,7 +29,7 @@ from operator import eq
 
 from .core import AnnotatedSequence, Mapping, MatchConstraint, _Record, _require_int, _trusted
 from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
-from .mis import NeighborMasks, adjacency, lexmin_maximum_independent_set
+from .mis import NeighborMasks, lexmin_maximum_independent_set
 
 __all__ = [
     "SearchBudget",
@@ -200,23 +200,21 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
     )
 
 
-def build_conflict_graph(
-    a1: AnnotatedSequence, a2: AnnotatedSequence
-) -> dict[int, set[int]]:
-    """Conflicts between candidate identity matches, as a neighbour map.
+def build_conflict_graph(a1: AnnotatedSequence, a2: AnnotatedSequence) -> NeighborMasks:
+    """Conflicts between candidate identity matches, as the engine reads them.
 
-    The keys are the candidates, the positions p with S1[p] = S2[p], in
-    ascending order. An edge joins candidates p < q when exactly one of the
-    two arc sets contains (p, q): matching both endpoints would then break
-    arc preservation, so any valid identity mapping is an independent set
-    here.
+    The labels are the candidates, the positions p with S1[p] = S2[p], in
+    ascending order; as a mapping, each reads as its neighbour set. An edge
+    joins candidates p < q when exactly one of the two arc sets contains
+    (p, q): matching both endpoints would then break arc preservation, so
+    any valid identity mapping is an independent set here.
 
     Raises:
         InstanceError: the sequences have different lengths.
     """
     _require_equal_lengths(a1, a2)
     flags, arcs = _conflict_edges(a1, a2)
-    return adjacency(compress(count(), flags), arcs)
+    return NeighborMasks(compress(count(), flags), arcs)
 
 
 def _require_equal_lengths(a1: AnnotatedSequence, a2: AnnotatedSequence) -> None:

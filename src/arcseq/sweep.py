@@ -89,7 +89,8 @@ class SweepConfig(_MutableRecord):
         )
         _check_theorem(self.theorem)
         self.search_budget = _resolve_budget(self.search_budget)
-        lo, hi = self.n_range
+        pair = isinstance(self.n_range, (tuple, list)) and len(self.n_range) == 2
+        lo, hi = self.n_range if pair else (None, None)
         if type(lo) is not int or type(hi) is not int or lo < 1 or hi < lo:
             raise ValidationError(f"bad vertex-count range {self.n_range}")
         if type(self.k_policy) is int:

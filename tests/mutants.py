@@ -230,6 +230,24 @@ MUTANTS = (
          "test_equal_budgets_share_one_memo_entry",),
         "killed",
     ),
+    Mutant(
+        "lexmin-door-unchecked",
+        "mis.py",
+        "    if not (vertices is neighbors and isinstance(neighbors, NeighborMasks)):\n"
+        '        raise ValidationError("the independent-set search takes (masks, masks), '
+        'one NeighborMasks")\n',
+        "",
+        ("tests/test_mis.py::test_the_engine_takes_one_neighbor_masks_only",),
+        "killed",
+    ),
+    Mutant(
+        "neighbour-sets-drop-lower",
+        "mis.py",
+        "bit_flags(self.masks[i]))).union(lower)\n",
+        "bit_flags(self.masks[i])))\n",
+        ("tests/test_solvers.py::TestConflictGraph::test_triangle_image",),
+        "killed",
+    ),
 )
 
 

@@ -162,6 +162,30 @@ def conflict_graph_by_definition(a1: AnnotatedSequence, a2: AnnotatedSequence):
     return cands, edges, neighbours
 
 
+def adjacency(vertices, edges) -> dict[int, set[int]]:
+    """Neighbour sets of an undirected graph, one (possibly empty) per vertex.
+
+    Keys follow the order of ``vertices``. Edges with an endpoint outside
+    ``vertices`` are left out. The neighbour map the package built beside
+    its bitmasks, kept as the reference a NeighborMasks must read as.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for p, q in edges:
+        if p in adj and q in adj:
+            adj[p].add(q)
+            adj[q].add(p)
+    return adj
+
+
+def masks_of_neighbour_sets(vertices, neighbors) -> NeighborMasks:
+    """The NeighborMasks of ``vertices`` under neighbour sets that may list
+    an edge on one side only, or name labels outside ``vertices``: the
+    conversion the independent-set engine made itself before it took one
+    NeighborMasks only."""
+    labels = set(vertices)
+    return NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
+
+
 def rank_table_masks(vertices, neighbors) -> tuple[list[int], list[int]]:
     """The independent-set engine's set-up before it took bitmasks: the
     sorted labels and each one's upper-neighbour mask, read from neighbour

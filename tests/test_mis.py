@@ -10,6 +10,7 @@ import pytest
 from arcseq import (
     BudgetError,
     Graph,
+    ValidationError,
     exact_search,
     max_independent_set,
     reduce_theorem1,
@@ -17,38 +18,39 @@ from arcseq import (
     solve,
 )
 from arcseq.generate import exhaustive_graphs
-from arcseq.mis import (
-    NeighborMasks,
-    adjacency,
-    independence_number,
-    lexmin_maximum_independent_set,
-)
+from arcseq.mis import NeighborMasks, independence_number, lexmin_maximum_independent_set
 from arcseq.solvers import _conflict_edges
 
 from oracles import (
+    adjacency,
     both_children_stacked_lexmin_mis,
     brute_lexmin_independent_set,
     brute_max_independent_set,
+    masks_of_neighbour_sets,
     rank_table_masks,
 )
 
 
 def _same_search(vertices, neighbors, masks):
-    """The mask path and the neighbour-set path give the same search: the one
-    that stacked both children, run on the vertices that have a neighbour,
-    with every isolated vertex added to its size and witness. Same node
-    count, and the same BudgetError one node short of that count."""
+    """The masks built from the edges and the masks converted from the
+    neighbour sets hold the same bits and give the same search: the one that
+    stacked both children, run on the vertices that have a neighbour, with
+    every isolated vertex added to its size and witness. Same node count,
+    and the same BudgetError one node short of that count."""
+    converted = masks_of_neighbour_sets(vertices, neighbors)
+    assert (converted.order, converted.masks, converted.touched) == (
+        masks.order, masks.masks, masks.touched)
     by_masks = lexmin_maximum_independent_set(masks, masks)
     touched = [v for v in masks if masks[v]]
     isolated = [v for v in masks if not masks[v]]
     size, witness, nodes = both_children_stacked_lexmin_mis(touched, masks)
     assert by_masks == (size + len(isolated), tuple(sorted(witness + tuple(isolated))), nodes)
-    assert lexmin_maximum_independent_set(vertices, neighbors) == by_masks
+    assert lexmin_maximum_independent_set(converted, converted) == by_masks
     assert lexmin_maximum_independent_set(masks, masks, max_nodes=nodes) == by_masks
     errors = []
     for search, args in (
         (lexmin_maximum_independent_set, (masks, masks)),
-        (lexmin_maximum_independent_set, (vertices, neighbors)),
+        (lexmin_maximum_independent_set, (converted, converted)),
         (both_children_stacked_lexmin_mis, (touched, masks)),
     ):
         with pytest.raises(BudgetError) as info:
@@ -87,23 +89,41 @@ def test_seeded_graphs_with_sparse_labels_and_one_sided_neighbours():
             neighbors.setdefault(a, set()).add(b)
         for v in vertices[: n // 3]:
             neighbors.setdefault(v, set()).update({v, 1000 + v})
-        size, witness, _ = lexmin_maximum_independent_set(vertices, neighbors)
+        masks = masks_of_neighbour_sets(vertices, neighbors)
+        assert dict(masks) == adjacency(vertices, edges)
+        size, witness, _ = lexmin_maximum_independent_set(masks, masks)
         assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
 
 
 def test_node_budget():
     vertices = range(1, 8)
     # Edges (1, 8) and (0, 3) reach outside the vertex set and are left out.
-    star = adjacency(vertices, [(1, v) for v in range(2, 9)] + [(0, 3)])
+    edges = [(1, v) for v in range(2, 9)] + [(0, 3)]
+    star = adjacency(vertices, edges)
     assert star == {1: set(range(2, 8)), **{v: {1} for v in range(2, 8)}}
-    _, _, nodes = lexmin_maximum_independent_set(vertices, star)
-    assert lexmin_maximum_independent_set(vertices, star, max_nodes=nodes)[0] == 6
-    with pytest.raises(BudgetError, match="exceeded"):
-        lexmin_maximum_independent_set(vertices, star, max_nodes=nodes - 1)
+    for masks in (NeighborMasks(vertices, edges), masks_of_neighbour_sets(vertices, star)):
+        assert dict(masks) == star
+        _, _, nodes = lexmin_maximum_independent_set(masks, masks)
+        assert lexmin_maximum_independent_set(masks, masks, max_nodes=nodes)[0] == 6
+        with pytest.raises(BudgetError, match="exceeded"):
+            lexmin_maximum_independent_set(masks, masks, max_nodes=nodes - 1)
+
+
+def test_the_engine_takes_one_neighbor_masks_only():
+    # Neighbour sets, a label list beside masks, or two equal but distinct
+    # masks are turned away at the door, before the search reads them.
+    masks = NeighborMasks(range(1, 4), [(1, 2)])
+    again = NeighborMasks(range(1, 4), [(1, 2)])
+    assert lexmin_maximum_independent_set(masks, masks)[:2] == (2, (1, 3))
+    for args in ((range(1, 4), dict(masks)), (dict(masks), dict(masks)), (list(masks), masks),
+                 (masks, again), (masks, dict(masks))):
+        with pytest.raises(ValidationError, match=r"takes \(masks, masks\)"):
+            lexmin_maximum_independent_set(*args)
 
 
 def _setup_case(vertices, edges, style):
-    """Neighbour sets for edges in one of the listing styles the engine takes."""
+    """Neighbour sets for edges in one of the listing styles that
+    masks_of_neighbour_sets takes."""
     neighbors = {v: set() for v in vertices}
     for u, v in edges:
         if style == "one-sided":
@@ -138,8 +158,9 @@ def test_contiguous_and_general_setup_against_the_oracle(labels, style):
         rng.shuffle(vertices)
         p = rng.choice((0.2, 0.5, 0.8))
         edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < p]
-        neighbors = _setup_case(vertices, edges, style)
-        size, witness, _ = lexmin_maximum_independent_set(vertices, neighbors)
+        masks = masks_of_neighbour_sets(vertices, _setup_case(vertices, edges, style))
+        assert dict(masks) == adjacency(vertices, edges)
+        size, witness, _ = lexmin_maximum_independent_set(masks, masks)
         assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
 
 

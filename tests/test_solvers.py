@@ -29,6 +29,7 @@ from arcseq import (
 from arcseq import reduce_theorem1, reduce_theorem2, solvers
 from arcseq.formats import parse_annotated_sequence
 from arcseq.generate import exhaustive_graphs, random_annotated_sequence, random_arcs, random_graph
+from arcseq.mis import NeighborMasks
 from arcseq.solvers import _suffix_lcs_rows
 
 from oracles import (
@@ -174,6 +175,7 @@ class TestConflictGraph:
         a1 = AnnotatedSequence("aaa", {(1, 2), (1, 3), (2, 3)})
         a2 = AnnotatedSequence("aaa")
         g = build_conflict_graph(a1, a2)
+        assert type(g) is NeighborMasks
         assert g == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
         assert list(g) == [1, 2, 3]
 

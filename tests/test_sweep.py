@@ -349,9 +349,12 @@ def test_invalid_configs_rejected():
             SweepConfig("T1", (2, 2), k_policy=k)
     with pytest.raises(ValidationError):
         SweepConfig("T1", (1, 2), graph_source="mystery")
-    for n_range in ((1, 2.5), (True, 2), (1.0, 2), ("1", 2)):
-        with pytest.raises(ValidationError, match="vertex-count range"):
+    # A range is a pair of ints, as a tuple or a list; anything else is
+    # rejected before it is unpacked.
+    for n_range in ((1, 2.5), (True, 2), (1.0, 2), ("1", 2), 5, (1, 2, 3), (1,), None):
+        with pytest.raises(ValidationError, match="bad vertex-count range"):
             SweepConfig("T1", n_range)
+    assert SweepConfig("T1", [1, 2]).config_echo()["n_range"] == [1, 2]
     for count in (1.5, True, "2", None, -1):
         with pytest.raises(ValidationError, match="random_count"):
             SweepConfig(
