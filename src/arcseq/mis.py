@@ -43,7 +43,9 @@ class NeighborMasks(MappingABC):
     in either direction, more than once; loops and edges leaving
     ``vertices`` are left out. Bit i of ``touched`` is set when the label
     of rank i has a neighbour. As a read-only mapping, a label's value is
-    its full neighbour set.
+    its full neighbour set, built on each lookup from the label's mask and
+    a pass over the lower ones: O(n) a label, so reading every label, as
+    ``dict(masks)`` does, is O(n²).
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -69,11 +71,15 @@ class NeighborMasks(MappingABC):
         self.touched = touched
 
     def __getitem__(self, v: int) -> frozenset[int]:
-        if v not in self.order:
-            raise KeyError(v)
-        i = self.order.index(v)
+        try:
+            i = self.order.index(v)
+        except ValueError:
+            raise KeyError(v) from None
         lower = [u for u, mask in zip(self.order, self.masks[:i]) if mask >> i & 1]
         return frozenset(compress(self.order, bit_flags(self.masks[i]))).union(lower)
+
+    def __contains__(self, v) -> bool:
+        return v in self.order
 
     def __iter__(self):
         return iter(self.order)

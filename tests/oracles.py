@@ -181,7 +181,8 @@ def masks_of_neighbour_sets(vertices, neighbors) -> NeighborMasks:
     """The NeighborMasks of ``vertices`` under neighbour sets that may list
     an edge on one side only, or name labels outside ``vertices``: the
     conversion the independent-set engine made itself before it took one
-    NeighborMasks only."""
+    NeighborMasks only, and the set-up line that
+    :func:`both_children_stacked_lexmin_mis` keeps verbatim."""
     labels = set(vertices)
     return NeighborMasks(labels, ((v, u) for v in labels for u in neighbors.get(v, ())))
 
