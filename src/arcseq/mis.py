@@ -3,11 +3,11 @@
 :func:`lexmin_maximum_independent_set` returns the lexicographically
 smallest optimum: the exhaustive solver's identity route and
 :func:`arcseq.reductions.max_independent_set` run it. A graph reaches it as
-:class:`NeighborMasks`, built once from its edges: Python-int bitmasks over
-the vertices' ranks in sorted order, after the bit-parallel maximum-clique
-search of San Segundo et al. (2011), "An exact bit-parallel algorithm for
-the maximum clique problem", applied here to independent sets. It is the
-package's one graph form: :func:`arcseq.solvers.build_conflict_graph`
+:class:`NeighborMasks`, built once from its edges: per vertex, a Python-int
+bitmask of its neighbours' ranks in sorted order, after the bit-parallel
+maximum-clique search of San Segundo et al. (2011), "An exact bit-parallel
+algorithm for the maximum clique problem", applied here to independent sets.
+It is the package's one graph form: :func:`arcseq.solvers.build_conflict_graph`
 returns one, and as a mapping it reads as each label's neighbour set.
 :func:`independence_number`, the size alone, is the reduction checker's
 graph-side oracle. Both keep their own stack, so their depth is not limited
@@ -16,8 +16,11 @@ by Python's recursion limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping as MappingABC
+from functools import reduce
 from itertools import compress
+from operator import or_
 
 from .errors import BudgetError, ValidationError
 
@@ -39,13 +42,12 @@ class NeighborMasks(MappingABC):
     """The graph on ``vertices`` with ``edges``, as the engine reads it.
 
     ``order`` holds the labels in ascending order; bit j of ``masks[i]`` is
-    set when the labels of ranks i < j are adjacent. An edge may be listed
-    in either direction, more than once; loops and edges leaving
-    ``vertices`` are left out. Bit i of ``touched`` is set when the label
-    of rank i has a neighbour. As a read-only mapping, a label's value is
-    its full neighbour set, built on each lookup from the label's mask and
-    a pass over the lower ones: O(n) a label, so reading every label, as
-    ``dict(masks)`` does, is O(n²).
+    set when the labels of ranks i and j are adjacent, so a mask is a whole
+    neighbourhood. An edge may be listed in either direction, more than
+    once; loops and edges leaving ``vertices`` are left out. Bit i of
+    ``touched`` is set when the label of rank i has a neighbour. As a
+    read-only mapping, a label's value is its neighbour set: a binary search
+    of ``order`` and one C-level read of its mask, not a pass over the rest.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
@@ -60,26 +62,21 @@ class NeighborMasks(MappingABC):
             edges = ((rank(p, -1), rank(q, -1)) for p, q in edges)
             low, high = 0, n - 1
         for p, q in edges:
-            if p > q:
-                p, q = q, p
-            if low <= p < q <= high:
+            if p != q and low <= p <= high and low <= q <= high:
                 masks[p - low] |= 1 << q - low
-        touched = 0
-        for i, mask in enumerate(masks):
-            if mask:
-                touched |= mask | 1 << i
-        self.touched = touched
+                masks[q - low] |= 1 << p - low
+        self.touched = reduce(or_, masks, 0)
 
     def __getitem__(self, v: int) -> frozenset[int]:
-        try:
-            i = self.order.index(v)
-        except ValueError:
-            raise KeyError(v) from None
-        lower = [u for u, mask in zip(self.order, self.masks[:i]) if mask >> i & 1]
-        return frozenset(compress(self.order, bit_flags(self.masks[i]))).union(lower)
+        if v not in self:
+            raise KeyError(v)
+        return frozenset(compress(self.order, bit_flags(self.masks[bisect_left(self.order, v)])))
 
     def __contains__(self, v) -> bool:
-        return v in self.order
+        try:
+            return self.order[bisect_left(self.order, v)] == v
+        except (TypeError, IndexError):  # v does not compare with the labels, or is above them
+            return False
 
     def __iter__(self):
         return iter(self.order)

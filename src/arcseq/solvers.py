@@ -204,11 +204,11 @@ def build_conflict_graph(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Neighb
     """Conflicts between candidate identity matches, as the engine reads them.
 
     The labels are the candidates, the positions p with S1[p] = S2[p], in
-    ascending order; as a mapping, each reads as its neighbour set, built
-    on lookup in O(n) (see :class:`NeighborMasks`). An edge
-    joins candidates p < q when exactly one of the two arc sets contains
-    (p, q): matching both endpoints would then break arc preservation, so
-    any valid identity mapping is an independent set here.
+    ascending order; as a mapping, each reads as its neighbour set, read
+    off its one mask (see :class:`NeighborMasks`). An edge joins candidates
+    p < q when exactly one of the two arc sets contains (p, q): matching
+    both endpoints would then break arc preservation, so any valid identity
+    mapping is an independent set here.
 
     Raises:
         InstanceError: the sequences have different lengths.

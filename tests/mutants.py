@@ -241,11 +241,53 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "neighbour-sets-drop-lower",
+        "neighbour-masks-one-bit-per-edge",
         "mis.py",
-        "bit_flags(self.masks[i]))).union(lower)\n",
-        "bit_flags(self.masks[i])))\n",
-        ("tests/test_solvers.py::TestConflictGraph::test_triangle_image",),
+        "                masks[q - low] |= 1 << p - low\n",
+        "",
+        ("tests/test_solvers.py::TestConflictGraph::test_triangle_image",
+         "tests/test_solvers.py::TestConflictGraph::"
+         "test_a_large_map_reads_whole_and_misses_what_is_no_label"),
+        "killed",
+    ),
+    Mutant(
+        "neighbour-masks-keep-loops",
+        "mis.py",
+        "if p != q and low <= p",
+        "if low <= p",
+        ("tests/test_mis.py::test_neighbor_masks_is_a_read_only_mapping_of_full_neighbour_sets",),
+        "killed",
+    ),
+    Mutant(
+        "isolated-takes-a-vertex-with-neighbours",
+        "mis.py",
+        "isolated = (1 << len(order)) - 1 ^ touched\n",
+        "isolated = (1 << len(order)) - 1 ^ touched & touched - 1\n",
+        ("tests/test_mis.py::test_every_labelled_graph_up_to_n5",),
+        "killed",
+    ),
+    Mutant(
+        "alpha-takes-degree-two",
+        "mis.py",
+        "if not near & (near - 1):",
+        "if near.bit_count() <= 2:",
+        ("tests/test_mis.py::test_independence_number_on_every_labelled_graph_up_to_n6",),
+        "killed",
+    ),
+    Mutant(
+        "alpha-error-not-kept",
+        "reductions.py",
+        "            self.alpha = err.with_traceback(None)\n",
+        "            raise\n",
+        ("tests/test_reductions.py::TestCheckEquivalence::test_shared_oracles_give_the_same_rows",),
+        "killed",
+    ),
+    Mutant(
+        "lane-skipped-at-xor-equal-length",
+        "solvers.py",
+        "len(a1.arcs ^ a2.arcs) <= n:",
+        "len(a1.arcs ^ a2.arcs) < n:",
+        ("tests/test_solvers.py::TestSolveDispatch::test_certain_decline_skips_the_lane",),
         "killed",
     ),
 )

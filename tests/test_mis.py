@@ -31,6 +31,17 @@ from oracles import (
 )
 
 
+def _mirrored(upper):
+    """Upper-triangle masks, as rank_table_masks builds them, with each bit
+    j of mask i copied to bit i of mask j: the whole neighbourhoods that
+    NeighborMasks keeps."""
+    full = list(upper)
+    for i, mask in enumerate(upper):
+        for j in range(i + 1, mask.bit_length()):
+            full[j] |= (mask >> j & 1) << i
+    return full
+
+
 def _same_search(vertices, neighbors, masks):
     """The masks built from the edges and the masks converted from the
     neighbour sets hold the same bits and give the same search: the one that
@@ -69,7 +80,8 @@ def test_every_labelled_graph_up_to_n5():
             adj = adjacency(vertices, g.edges)
             masks = NeighborMasks(vertices, g.edges)
             assert dict(masks) == adj
-            assert (list(masks.order), masks.masks) == rank_table_masks(vertices, adj)
+            order, upper = rank_table_masks(vertices, adj)
+            assert (list(masks.order), masks.masks) == (order, _mirrored(upper))
             size, witness, _ = _same_search(vertices, adj, masks)
             assert (size, witness) == brute_lexmin_independent_set(vertices, g.edges)
 
@@ -186,7 +198,8 @@ def test_masks_and_neighbour_sets_agree_on_seeded_sparse_labels():
             listed += [(v, v), (v, 1000 + v), (-1000, v)]
         masks = NeighborMasks(vertices, listed)
         assert dict(masks) == adjacency(vertices, edges)
-        assert (list(masks.order), masks.masks) == rank_table_masks(vertices, neighbors)
+        order, upper = rank_table_masks(vertices, neighbors)
+        assert (list(masks.order), masks.masks) == (order, _mirrored(upper))
         size, witness, _ = _same_search(vertices, neighbors, masks)
         if n <= 12:
             assert (size, witness) == brute_lexmin_independent_set(vertices, edges)
@@ -195,8 +208,8 @@ def test_masks_and_neighbour_sets_agree_on_seeded_sparse_labels():
 def test_neighbor_masks_is_a_read_only_mapping_of_full_neighbour_sets():
     masks = NeighborMasks([7, 3, 5, 3], [(5, 3), (3, 7), (9, 3), (5, 5)])
     assert list(masks) == [3, 5, 7] and len(masks) == 3
-    assert masks.masks == [0b110, 0, 0]
-    assert masks[7] == {3} and masks[3] == {5, 7}
+    assert masks.masks == [0b110, 0b001, 0b001] and masks.touched == 0b111
+    assert masks[7] == {3} and masks[5] == {3} and masks[3] == {5, 7}
     assert masks.get(9, ()) == () and 4 not in masks
     with pytest.raises(KeyError):
         masks[9]

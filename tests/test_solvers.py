@@ -33,6 +33,7 @@ from arcseq.mis import NeighborMasks
 from arcseq.solvers import _suffix_lcs_rows
 
 from oracles import (
+    adjacency,
     brute_identity_lapcs,
     brute_lapcs,
     brute_lcs,
@@ -178,6 +179,19 @@ class TestConflictGraph:
         assert type(g) is NeighborMasks
         assert g == {1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
         assert list(g) == [1, 2, 3]
+
+    def test_a_large_map_reads_whole_and_misses_what_is_no_label(self):
+        # 2,000 candidates, each odd p joined to p + 1 by an arc on one side.
+        # Read whole, the map is the reference neighbour sets; a key of
+        # another type, or an int that is no candidate, keeps the answer a
+        # tuple's membership test gives it.
+        n = 2000
+        arcs = {(p, p + 1) for p in range(1, n, 2)}
+        g = build_conflict_graph(AnnotatedSequence("a" * n, arcs), AnnotatedSequence("a" * n))
+        assert dict(g) == adjacency(range(1, n + 1), arcs)
+        assert g.get("x", ()) == () and "x" not in g
+        assert 1.0 in g and g[True] == {2} and g[n] == {n - 1}
+        assert g.get(0, ()) == () and n + 1 not in g
 
     def test_equal_arc_sets_give_no_conflicts(self):
         a = AnnotatedSequence("abcab", {(1, 4), (2, 5)})
