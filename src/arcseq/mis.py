@@ -1,14 +1,14 @@
 """Exact maximum independent set, by two engines that share no code.
 
 :func:`lexmin_maximum_independent_set` returns the lexicographically
-smallest optimum: the exhaustive solver's identity route and
-:func:`arcseq.reductions.max_independent_set` run it. A graph reaches it as
-:class:`NeighborMasks`, built once from its edges: per vertex, a Python-int
-bitmask of its neighbours' ranks in sorted order, after the bit-parallel
-maximum-clique search of San Segundo et al. (2011), "An exact bit-parallel
-algorithm for the maximum clique problem", applied here to independent sets.
-It is the package's one graph form: :func:`arcseq.solvers.build_conflict_graph`
-returns one, and as a mapping it reads as each label's neighbour set.
+smallest optimum. A graph reaches it as :class:`NeighborMasks`, built once
+from its edges: per vertex, a Python-int bitmask of its neighbours' ranks in
+sorted order, after the bit-parallel maximum-clique search of San Segundo et
+al. (2011), "An exact bit-parallel algorithm for the maximum clique
+problem", applied here to independent sets. It is the package's one graph
+form, built from a sequence pair by :func:`arcseq.solvers.build_conflict_graph`
+and from a Graph by :func:`arcseq.reductions.max_independent_set`; as a
+mapping it reads as each label's neighbour set.
 :func:`independence_number`, the size alone, is the reduction checker's
 graph-side oracle. Both keep their own stack, so their depth is not limited
 by Python's recursion limit.
@@ -47,7 +47,8 @@ class NeighborMasks(MappingABC):
     once; loops and edges leaving ``vertices`` are left out. Bit i of
     ``touched`` is set when the label of rank i has a neighbour. As a
     read-only mapping, a label's value is its neighbour set: a binary search
-    of ``order`` and one C-level read of its mask, not a pass over the rest.
+    of ``order``, then C-level passes over its mask up to the top bit, linear
+    in the rank of the label's highest neighbour, not in its degree.
     """
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):

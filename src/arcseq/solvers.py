@@ -14,8 +14,9 @@ Three routes, all exact:
   and one linear walk gives each component's lexmin optimum: a closed form
   up to 3 vertices (and for any odd path), one scan for a longer even path.
 * :func:`exact_search` -- pruned exhaustive search, the universal
-  small-instance oracle. Both identity routes take the candidates and
-  conflict edges from :func:`_conflict_edges`.
+  small-instance oracle. Its identity route solves the graph of
+  :func:`build_conflict_graph`; both identity routes read their conflict
+  edges from :func:`_conflict_edges`.
 
 :func:`solve` dispatches between them. Every solver returns the
 lexicographically smallest optimal witness (pair list sorted by S1 position,
@@ -203,26 +204,17 @@ def lcs_dp(s1: str | AnnotatedSequence, s2: str | AnnotatedSequence) -> SolveRes
 def build_conflict_graph(a1: AnnotatedSequence, a2: AnnotatedSequence) -> NeighborMasks:
     """Conflicts between candidate identity matches, as the engine reads them.
 
-    The labels are the candidates, the positions p with S1[p] = S2[p], in
-    ascending order; as a mapping, each reads as its neighbour set, read
-    off its one mask (see :class:`NeighborMasks`). An edge joins candidates
+    Only the common prefix can be matched under identity, so the labels are
+    the candidates, the positions p <= min(len(a1), len(a2)) with
+    S1[p] = S2[p], in ascending order; as a mapping, each reads as its
+    neighbour set (see :class:`NeighborMasks`). An edge joins candidates
     p < q when exactly one of the two arc sets contains (p, q): matching
     both endpoints would then break arc preservation, so any valid identity
-    mapping is an independent set here.
-
-    Raises:
-        InstanceError: the sequences have different lengths.
+    mapping is an independent set here. :func:`exact_search`'s identity
+    route solves this graph.
     """
-    _require_equal_lengths(a1, a2)
     flags, arcs = _conflict_edges(a1, a2)
     return NeighborMasks(compress(count(), flags), arcs)
-
-
-def _require_equal_lengths(a1: AnnotatedSequence, a2: AnnotatedSequence) -> None:
-    if len(a1) != len(a2):
-        raise InstanceError(
-            f"conflict graph needs equal lengths, got {len(a1)} and {len(a2)}"
-        )
 
 
 def _conflict_edges(
@@ -296,7 +288,8 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
         CapabilityError: some conflict vertex has degree > 2 (use
             exact_search for those instances).
     """
-    _require_equal_lengths(a1, a2)
+    if len(a1) != len(a2):
+        raise InstanceError(f"conflict graph needs equal lengths, got {len(a1)} and {len(a2)}")
     take, stats = _degree2_mis(*_conflict_edges(a1, a2))
     # The witness is built after _degree2_mis has returned and freed the
     # arc set: its pairs set off young collections, which would traverse it.
@@ -415,32 +408,6 @@ def _degree2_mis(flags: bytes, arcs: frozenset[tuple[int, int]]) -> tuple[bytear
     return take, stats
 
 
-def _identity_exact(
-    a1: AnnotatedSequence, a2: AnnotatedSequence, budget: SearchBudget
-) -> SolveResult:
-    """Identity-constrained exhaustive search as maximum independent set.
-
-    Only the common prefix can be matched, so the conflict graph is built
-    over positions 1..min(len(a1), len(a2)), straight from its edges into
-    the engine's neighbour bitmasks; the budget caps this route at
-    max_identity_length.
-    """
-    flags, arcs = _conflict_edges(a1, a2)
-    graph = NeighborMasks(compress(count(), flags), arcs)
-    size, members, nodes = lexmin_maximum_independent_set(
-        graph, graph, max_nodes=budget.max_nodes
-    )
-    return SolveResult(
-        length=size,
-        witness=_identity_witness(members),
-        stats={
-            "solver": "exact_search",
-            "nodes": nodes,
-            "candidates": len(graph),
-        },
-    )
-
-
 def exact_search(
     a1: AnnotatedSequence,
     a2: AnnotatedSequence,
@@ -453,10 +420,11 @@ def exact_search(
     bound is the plain LCS of the remaining suffixes, which is admissible
     because dropping arcs and constraints only relaxes the problem; each
     bound test reads it from the suffix-LCS rows as one masked popcount.
-    Identity-forcing constraints take a specialized route (independent set
-    on the conflict structure) with identical results and tie-break. The
-    pair search reports ``stats["table_cells"]`` = (n+1)(m+1), a size
-    measure of the instance and not an allocation: it builds no table.
+    Identity-forcing constraints take a specialized route, the maximum
+    independent set of :func:`build_conflict_graph`, with identical results
+    and tie-break. The pair search reports ``stats["table_cells"]`` =
+    (n+1)(m+1), a size measure of the instance and not an allocation: it
+    builds no table.
 
     Raises:
         BudgetError: the instance exceeds the configured search budget.
@@ -470,7 +438,15 @@ def exact_search(
                 f"identity-constrained instance of length {max(n, m)} exceeds "
                 f"budget {budget.max_identity_length}"
             )
-        return _identity_exact(a1, a2, budget)
+        graph = build_conflict_graph(a1, a2)
+        size, members, nodes = lexmin_maximum_independent_set(
+            graph, graph, max_nodes=budget.max_nodes
+        )
+        return SolveResult(
+            length=size,
+            witness=_identity_witness(members),
+            stats={"solver": "exact_search", "nodes": nodes, "candidates": len(graph)},
+        )
 
     if n * m > budget.max_cells:
         raise BudgetError(

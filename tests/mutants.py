@@ -290,6 +290,24 @@ MUTANTS = (
         ("tests/test_solvers.py::TestSolveDispatch::test_certain_decline_skips_the_lane",),
         "killed",
     ),
+    Mutant(
+        "lane-length-unchecked",
+        "solvers.py",
+        "    if len(a1) != len(a2):\n"
+        '        raise InstanceError(f"conflict graph needs equal lengths, got {len(a1)} and '
+        '{len(a2)}")\n',
+        "",
+        ("tests/test_solvers.py::TestDiagonalConflictSolve::test_length_mismatch",),
+        "killed",
+    ),
+    Mutant(
+        "conflict-graph-takes-every-position",
+        "solvers.py",
+        "return NeighborMasks(compress(count(), flags), arcs)\n",
+        "return NeighborMasks(range(1, len(flags)), arcs)\n",
+        ("tests/test_solvers.py::TestConflictGraph::test_length_mismatch",),
+        "killed",
+    ),
 )
 
 

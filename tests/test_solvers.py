@@ -209,8 +209,32 @@ class TestConflictGraph:
         assert build_conflict_graph(a1, a2) == {1: set()}
 
     def test_length_mismatch(self):
-        with pytest.raises(InstanceError):
-            build_conflict_graph(AnnotatedSequence("ab"), AnnotatedSequence("abc"))
+        # Unequal lengths give the graph over the common prefix: the graph by
+        # definition, with positions whose letters differ left out and arcs
+        # that end past the prefix adding no edge. It is the graph the
+        # exhaustive identity route solves.
+        short, long = AnnotatedSequence("ab"), AnnotatedSequence("abc")
+        assert build_conflict_graph(short, long) == {1: set(), 2: set()}
+        rng = random.Random(67)
+        budget = SearchBudget(max_identity_length=11)
+        shapes = {"non-candidate": 0, "past the prefix": 0}
+        for _ in range(200):
+            n1 = rng.randint(0, 11)
+            n2 = rng.choice([n for n in range(12) if n != n1])
+            a1, a2 = (
+                AnnotatedSequence(
+                    "".join(rng.choice("aab") for _ in range(n)),
+                    random_arcs(rng, n, StructureLevel.UNLIMITED, rng.uniform(0.3, 1.5)),
+                )
+                for n in (n1, n2)
+            )
+            common = min(n1, n2)
+            shapes["non-candidate"] += a1.seq[:common] != a2.seq[:common]
+            shapes["past the prefix"] += any(q > common for _, q in a1.arcs | a2.arcs)
+            graph = build_conflict_graph(a1, a2)
+            assert graph == conflict_graph_by_definition(a1, a2)[2]
+            assert len(graph) == exact_search(a1, a2, FRAG1, budget).stats["candidates"]
+        assert min(shapes.values()) >= 100
 
     def test_equal_sequences_flag_what_the_per_position_compare_flags(self):
         # Equal sequences take a shortcut past the per-position compare; a
@@ -423,6 +447,12 @@ class TestDiagonalConflictSolve:
                 named.append(int(str(info.value).split()[2]))
             got.append(tuple(named))
         assert got == [(v, v, v) for v in DECLINED_VERTEX_PINS]
+
+    def test_length_mismatch(self):
+        # Its flat slots cover equal lengths only, unlike the conflict graph.
+        with pytest.raises(InstanceError) as info:
+            diagonal_conflict_solve(AnnotatedSequence("ab"), AnnotatedSequence("abc"))
+        assert str(info.value) == "conflict graph needs equal lengths, got 2 and 3"
 
     def test_degree_three_refused(self):
         a1 = AnnotatedSequence("aaaa", {(1, 2), (1, 3), (1, 4)})
