@@ -12,9 +12,10 @@ restrictive:
     unlimited -- anything goes
 
 Each level is defined by which of four restrictions hold (no endpoint
-sharing, no crossing, no nesting, no arcs); the restrictions are evaluated
-independently and :func:`classify_structure` reports the strictest level
-whose full restriction set holds.
+sharing, no crossing, no nesting, no arcs); one pass over the sorted
+endpoints decides them, and :func:`classify_structure` reports the
+strictest level whose full restriction set holds. ``tests/oracles.py``
+keeps the restrictions in their quantifier forms.
 
 A common subsequence of two annotated sequences is represented by a
 :class:`Mapping`: an order-preserving partial matching between positions.
@@ -191,43 +192,15 @@ class AnnotatedSequence(_Record):
         return classify_structure(self.arcs, len(self.seq))
 
 
-def _no_shared_endpoints(arcs: frozenset[Arc]) -> bool:
-    # Equivalent to the pairwise formulation: two distinct arcs sharing any
-    # endpoint (left-left, right-right, or left-right) violate it.
-    endpoints = [p for arc in arcs for p in arc]
-    return len(set(endpoints)) == len(endpoints)
-
-
-def _no_crossing(arcs: frozenset[Arc]) -> bool:
-    # Sound only for arcs with pairwise distinct endpoints, which
-    # classify_structure establishes first: then each position opens or
-    # closes at most one arc, and no two arcs cross exactly when every right
-    # endpoint closes the innermost arc still open.
-    open_arcs: list[Arc] = []
-    for p, arc in sorted((p, arc) for arc in arcs for p in arc):
-        if p == arc[0]:
-            open_arcs.append(arc)
-        elif open_arcs.pop() != arc:
-            return False
-    return True
-
-
-def _no_nesting(arcs: frozenset[Arc]) -> bool:
-    # Holds exactly when arcs can be laid out left to right with each arc
-    # ending no later than the next one starts.
-    ordered = sorted(arcs)
-    for (_, a2), (b1, _) in zip(ordered, ordered[1:]):
-        if a2 > b1:
-            return False
-    return True
-
-
 def classify_structure(arcs: Iterable[Arc], n: int) -> StructureLevel:
     """Strictest structure level whose defining restrictions all hold.
 
     The restrictions are cumulative: chain requires no endpoint sharing, no
     crossing, and no nesting; nested drops the no-nesting requirement;
     crossing requires only no endpoint sharing. An empty arc set is plain.
+    One sort of the 2|P| endpoints decides them: a repeated position is
+    unlimited, a right end that does not close the innermost open arc is
+    crossing, and an arc that opens while another is open is nested.
 
     Raises:
         ValidationError: endpoint outside 1..n or a self-pair.
@@ -235,13 +208,20 @@ def classify_structure(arcs: Iterable[Arc], n: int) -> StructureLevel:
     canon = _canonical_arcs(arcs, n)
     if not canon:
         return StructureLevel.PLAIN
-    if not _no_shared_endpoints(canon):
-        return StructureLevel.UNLIMITED
-    if not _no_crossing(canon):
-        return StructureLevel.CROSSING
-    if not _no_nesting(canon):
-        return StructureLevel.NESTED
-    return StructureLevel.CHAIN
+    level = StructureLevel.CHAIN
+    open_arcs: list[Arc] = []
+    last = 0
+    for p, arc in sorted((p, arc) for arc in canon for p in arc):
+        if p == last:
+            return StructureLevel.UNLIMITED
+        last = p
+        if p == arc[0]:
+            if open_arcs:
+                level = max(level, StructureLevel.NESTED)
+            open_arcs.append(arc)
+        elif open_arcs.pop() != arc:
+            level = StructureLevel.CROSSING
+    return level
 
 
 class Mapping(_Record):
@@ -304,17 +284,18 @@ def is_arc_preserving(m: Mapping, a1: AnnotatedSequence, a2: AnnotatedSequence) 
     """True iff every two matched pairs carry an arc on both sides or neither.
 
     For pairs (i1, j1), (i2, j2) with i1 < i2, requires
-    (i1, i2) in P1  <=>  (j1, j2) in P2.
+    (i1, i2) in P1  <=>  (j1, j2) in P2. As m keeps order, that holds when
+    each arc of either side with both ends matched maps onto an arc of the
+    other: at most |P1| + |P2| membership tests, O(len(m) + |P1| + |P2|).
 
     An invalid mapping raises ValidationError rather than returning False.
     """
     validate_mapping(m, a1, a2)
-    pairs = m.pairs
-    for a in range(len(pairs)):
-        i1, j1 = pairs[a]
-        for b in range(a + 1, len(pairs)):
-            i2, j2 = pairs[b]
-            if ((i1, i2) in a1.arcs) != ((j1, j2) in a2.arcs):
+    forward = dict(m.pairs)
+    backward = {j: i for i, j in m.pairs}
+    for arcs, image, onto in ((a1.arcs, forward, a2.arcs), (a2.arcs, backward, a1.arcs)):
+        for i, j in arcs:
+            if i in image and j in image and (image[i], image[j]) not in onto:
                 return False
     return True
 

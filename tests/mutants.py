@@ -46,6 +46,8 @@ _FLAGS = ("tests/test_solvers.py::TestConflictGraph::"
           "test_equal_sequences_flag_what_the_per_position_compare_flags")
 _FRAME = "tests/test_reductions.py::TestBlockedFrame"
 _VALUES = "tests/test_value_classes.py"
+_CLASSIFY = "tests/test_core.py::TestClassifyStructure"
+_ONE_SIDED = "tests/test_core.py::TestIsArcPreserving::test_one_sided_arc_not_preserved"
 
 MUTANTS = (
     Mutant(
@@ -219,6 +221,46 @@ MUTANTS = (
         '        raise AttributeError(f"cannot assign to field {name!r}")\n',
         "        object.__setattr__(self, name, value)\n",
         (f"{_VALUES}::test_frozen_classes_reject_assignment_and_deletion",),
+        "killed",
+    ),
+    Mutant(
+        "classify-shared-endpoint-unchecked",
+        "core.py",
+        "        if p == last:\n            return StructureLevel.UNLIMITED\n",
+        "",
+        (f"{_CLASSIFY}::test_shared_endpoint_is_unlimited",),
+        "killed",
+    ),
+    Mutant(
+        "classify-nesting-never-flagged",
+        "core.py",
+        "                level = max(level, StructureLevel.NESTED)\n",
+        "                pass\n",
+        (f"{_CLASSIFY}::test_nested_arcs",),
+        "killed",
+    ),
+    Mutant(
+        "classify-crossing-never-flagged",
+        "core.py",
+        "            level = StructureLevel.CROSSING\n",
+        "            pass\n",
+        (f"{_CLASSIFY}::test_crossing_arcs",),
+        "killed",
+    ),
+    Mutant(
+        "arc-preserving-skips-p1",
+        "core.py",
+        "((a1.arcs, forward, a2.arcs), (a2.arcs, backward, a1.arcs))",
+        "((a2.arcs, backward, a1.arcs),)",
+        (_ONE_SIDED,),
+        "killed",
+    ),
+    Mutant(
+        "arc-preserving-skips-p2",
+        "core.py",
+        "((a1.arcs, forward, a2.arcs), (a2.arcs, backward, a1.arcs))",
+        "((a1.arcs, forward, a2.arcs),)",
+        (_ONE_SIDED,),
         "killed",
     ),
     Mutant(

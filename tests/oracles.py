@@ -11,7 +11,14 @@ import itertools
 from collections.abc import Iterable, Mapping as MappingABC, Set
 from itertools import compress
 
-from arcseq import AnnotatedSequence, FormatError, MatchConstraint, StructureLevel, ValidationError
+from arcseq import (
+    AnnotatedSequence,
+    FormatError,
+    MatchConstraint,
+    StructureLevel,
+    ValidationError,
+    validate_mapping,
+)
 from arcseq.core import _trusted
 from arcseq.errors import BudgetError, CapabilityError
 from arcseq.mis import NeighborMasks, bit_flags
@@ -256,6 +263,20 @@ def oracle_level(arcs) -> StructureLevel:
     if r1:
         return StructureLevel.CROSSING
     return StructureLevel.UNLIMITED
+
+
+def pairwise_arc_preserving(m, a1: AnnotatedSequence, a2: AnnotatedSequence) -> bool:
+    """``core.is_arc_preserving`` as it was: the rule tested on every two
+    matched pairs, (i1, i2) in P1 <=> (j1, j2) in P2, in L(L - 1)/2 steps."""
+    validate_mapping(m, a1, a2)
+    pairs = m.pairs
+    for a in range(len(pairs)):
+        i1, j1 = pairs[a]
+        for b in range(a + 1, len(pairs)):
+            i2, j2 = pairs[b]
+            if ((i1, i2) in a1.arcs) != ((j1, j2) in a2.arcs):
+                return False
+    return True
 
 
 def per_value_cell(value: bool | int | str | None) -> str:

@@ -16,9 +16,10 @@ from arcseq import (
     is_arc_preserving,
     validate_mapping,
 )
+from arcseq.core import _trusted
 from arcseq.generate import random_arcs
 
-from oracles import oracle_level
+from oracles import oracle_level, pairwise_arc_preserving
 
 
 class TestAnnotatedSequence:
@@ -194,6 +195,7 @@ class TestIsArcPreserving:
         a1 = AnnotatedSequence("aa", {(1, 2)})
         a2 = AnnotatedSequence("aa")
         assert not is_arc_preserving(Mapping.identity([1, 2]), a1, a2)
+        assert not is_arc_preserving(Mapping.identity([1, 2]), a2, a1)
 
     def test_empty_mapping_vacuously_preserving(self):
         a1 = AnnotatedSequence("aa", {(1, 2)})
@@ -224,6 +226,34 @@ def mapped_instances(draw):
     a1 = AnnotatedSequence(s1, {(i, j) for i, j in arcs1[1] if j <= n1})
     a2 = AnnotatedSequence("".join(s2), {(i, j) for i, j in arcs2[1] if j <= n2})
     return a1, a2, Mapping(tuple(zip(lhs, rhs)))
+
+
+@given(mapped_instances())
+@settings(max_examples=300)
+def test_arc_preservation_matches_the_pairwise_rule(case):
+    a1, a2, m = case
+    assert is_arc_preserving(m, a1, a2) == pairwise_arc_preserving(m, a1, a2)
+
+
+class CountingArcs(frozenset):
+    """An arc set that counts the membership tests made on it."""
+
+    tests = 0
+
+    def __contains__(self, arc):
+        self.tests += 1
+        return frozenset.__contains__(self, arc)
+
+
+def test_arc_preservation_tests_each_arc_once():
+    # The pairwise rule made 159,600 tests here: two for each of the
+    # 79,800 pairs of matched positions.
+    # _trusted keeps the counting sets; __init__ would copy them into frozensets.
+    arcs = {(p, 401 - p) for p in range(1, 104)}
+    a1 = _trusted(AnnotatedSequence, seq="a" * 400, arcs=CountingArcs(arcs))
+    a2 = _trusted(AnnotatedSequence, seq="a" * 400, arcs=CountingArcs(arcs))
+    assert is_arc_preserving(Mapping.identity(range(1, 401)), a1, a2)
+    assert a1.arcs.tests + a2.arcs.tests <= len(a1.arcs) + len(a2.arcs) == 206
 
 
 @given(mapped_instances())

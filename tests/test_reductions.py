@@ -28,7 +28,7 @@ from arcseq import (
     solve,
 )
 from arcseq import core, reductions
-from arcseq.core import _no_shared_endpoints, _trusted, classify_structure
+from arcseq.core import _trusted, classify_structure
 from arcseq.generate import exhaustive_graphs, random_graph
 from arcseq.reductions import (
     REDUCTIONS,
@@ -43,7 +43,7 @@ from arcseq.sweep import SweepConfig, render_summary, run_sweep
 from oracles import (
     brute_max_independent_set,
     classified_reduce_theorem2,
-    restriction_no_shared_endpoints,
+    oracle_level,
 )
 
 TRIANGLE = Graph(3, {(1, 2), (1, 3), (2, 3)})
@@ -462,15 +462,13 @@ class TestBlockedFrame:
         with pytest.raises(RuntimeError, match=re.escape("1 <= alpha < beta <= n(n+2)")):
             reduce_theorem2(g, 1)
 
-    def test_no_shared_endpoints_is_crossing_on_canonical_arcs(self):
-        # classify_structure shares the helper, so the quantifier form of the
-        # restriction is the independent side.
+    def test_classifier_matches_the_quantifier_level_on_every_arc_set_over_six_positions(self):
+        # The frame's "P2 within chain" check reads classify_structure; the
+        # quantifier forms of the restrictions are the independent side.
         arcs = list(combinations(range(1, 7), 2))
         for mask in range(1 << len(arcs)):
             subset = frozenset(compress(arcs, (mask >> b & 1 for b in range(len(arcs)))))
-            crossing = classify_structure(subset, 6).is_within(StructureLevel.CROSSING)
-            assert _no_shared_endpoints(subset) == crossing, sorted(subset)
-            assert crossing == restriction_no_shared_endpoints(subset), sorted(subset)
+            assert classify_structure(subset, 6) is oracle_level(subset), sorted(subset)
 
 
 @pytest.mark.parametrize("k", [True, 1.5, "2"])

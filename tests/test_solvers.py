@@ -351,6 +351,7 @@ class TestDiagonalConflictSolve:
             assert r.stats["solver"] == "diagonal_conflict"
             assert r.length == length // 2
             assert r.witness.pairs == tuple((p, p) for p in range(1, length, 2))
+            check_witness(r, a1, a2, mc)
 
     def test_large_random_crossing_instance_is_pinned(self):
         # (length, candidates, conflict_edges, components, sha256 of the
@@ -371,6 +372,7 @@ class TestDiagonalConflictSolve:
             59551, 92466, 51120, 41346,
             "d4c2b4cc3d46102b9075421e079c4f012a38d1a905a9d50ae525286a1b021b0a",
         )
+        check_witness(r, a1, a2, FRAG1)
 
     def test_lane_allocation_peak(self):
         # tracemalloc peaks on Python 3.11: 1.7 MiB on two neighbour slots per
