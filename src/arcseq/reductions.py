@@ -57,7 +57,6 @@ from .core import (
     _require_int,
     _trusted,
     is_arc_preserving,
-    validate_mapping,
 )
 from .errors import BudgetError, ValidationError
 from .mis import NeighborMasks, bit_flags, independence_number, lexmin_maximum_independent_set
@@ -378,11 +377,12 @@ def extract_independent_set(inst: ReductionInstance, m: Mapping) -> frozenset[in
         ValidationError: m is not a valid, constraint-satisfying,
             arc-preserving mapping for the instance.
     """
-    validate_mapping(m, inst.a1, inst.a2)
+    # is_arc_preserving validates m first, so its faults are named first.
+    preserving = is_arc_preserving(m, inst.a1, inst.a2)
     for i, j in m.pairs:
         if not inst.mc.allows(i, j):
             raise ValidationError(f"mapping pair ({i}, {j}) violates {inst.mc}")
-    if not is_arc_preserving(m, inst.a1, inst.a2):
+    if not preserving:
         raise ValidationError("mapping is not arc-preserving for this instance")
 
     g = inst.provenance.graph

@@ -20,7 +20,8 @@ Three routes, all exact:
 
 :func:`solve` dispatches between them. Every solver returns the
 lexicographically smallest optimal witness (pair list sorted by S1 position,
-then S2 position), so outputs are byte-reproducible.
+then S2 position), so outputs are byte-reproducible. Both identity routes
+build it on the first read of ``witness``, which no sweep makes.
 """
 
 from __future__ import annotations
@@ -110,13 +111,30 @@ class SolveResult(_Record):
     Every solver in this module is exact, and length always equals
     len(witness.pairs). stats carries solver-specific diagnostics
     (explored nodes, table sizes, conflict counts), a fresh empty dict when
-    none is given.
+    none is given. Both identity routes keep their chosen positions and
+    build the witness on its first read, so a sweep, which reads only
+    length, never builds one.
     """
 
     _fields = ("length", "witness", "stats")
 
     def __init__(self, length: int, witness: Mapping, stats: dict | None = None):
         self.__dict__.update(length=length, witness=witness, stats={} if stats is None else stats)
+
+    def __getattr__(self, name: str):
+        # Reached only for a name missing from __dict__: an identity route's
+        # witness before its first read. setdefault keeps the first build, so
+        # concurrent first reads return one object.
+        chosen = self.__dict__.get("_chosen") if name == "witness" else None
+        if chosen is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if isinstance(chosen, bytearray):
+            chosen = list(compress(count(), chosen))
+        return self.__dict__.setdefault("witness", _identity_witness(chosen))
+
+    def __getstate__(self) -> dict:
+        # Pickles and copies hold the fields alone, as an eager result's do.
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def _plain_string(s: str | AnnotatedSequence, side: str) -> str:
@@ -293,8 +311,7 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     take, stats = _degree2_mis(*_conflict_edges(a1, a2))
     # The witness is built after _degree2_mis has returned and freed the
     # arc set: its pairs set off young collections, which would traverse it.
-    chosen = list(compress(count(), take))
-    return SolveResult(length=len(chosen), witness=_identity_witness(chosen), stats=stats)
+    return _trusted(SolveResult, length=take.count(1), stats=stats, _chosen=take)
 
 
 def _identity_witness(positions: list[int] | tuple[int, ...]) -> Mapping:
@@ -442,11 +459,8 @@ def exact_search(
         size, members, nodes = lexmin_maximum_independent_set(
             graph, graph, max_nodes=budget.max_nodes
         )
-        return SolveResult(
-            length=size,
-            witness=_identity_witness(members),
-            stats={"solver": "exact_search", "nodes": nodes, "candidates": len(graph)},
-        )
+        stats = {"solver": "exact_search", "nodes": nodes, "candidates": len(graph)}
+        return _trusted(SolveResult, length=size, stats=stats, _chosen=members)
 
     if n * m > budget.max_cells:
         raise BudgetError(

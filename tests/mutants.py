@@ -48,6 +48,7 @@ _FRAME = "tests/test_reductions.py::TestBlockedFrame"
 _VALUES = "tests/test_value_classes.py"
 _CLASSIFY = "tests/test_core.py::TestClassifyStructure"
 _ONE_SIDED = "tests/test_core.py::TestIsArcPreserving::test_one_sided_arc_not_preserved"
+_TWO_READS = "tests/test_solvers.py::TestDeferredWitness::test_two_reads_return_one_witness"
 
 MUTANTS = (
     Mutant(
@@ -348,6 +349,32 @@ MUTANTS = (
         "return NeighborMasks(compress(count(), flags), arcs)\n",
         "return NeighborMasks(range(1, len(flags)), arcs)\n",
         ("tests/test_solvers.py::TestConflictGraph::test_length_mismatch",),
+        "killed",
+    ),
+    Mutant(
+        "deferred-witness-shifted",
+        "solvers.py",
+        "chosen = list(compress(count(), chosen))\n",
+        "chosen = list(compress(count(1), chosen))\n",
+        (_TWO_READS,),
+        "killed",
+    ),
+    Mutant(
+        "lane-witness-built-eagerly",
+        "solvers.py",
+        "return _trusted(SolveResult, length=take.count(1), stats=stats, _chosen=take)\n",
+        "return SolveResult(\n"
+        "        take.count(1), _identity_witness(list(compress(count(), take))), stats)\n",
+        ("tests/test_solvers.py::TestDeferredWitness::"
+         "test_sweeps_build_no_witness_and_the_cli_builds_one",),
+        "killed",
+    ),
+    Mutant(
+        "witness-rebuilt-on-every-read",
+        "solvers.py",
+        'return self.__dict__.setdefault("witness", _identity_witness(chosen))\n',
+        "return _identity_witness(chosen)\n",
+        (_TWO_READS,),
         "killed",
     ),
 )

@@ -545,6 +545,39 @@ class TestExtractIndependentSet:
             # Matching 1 and 2 hits the arc (1, 2) on one side only.
             extract_independent_set(inst, Mapping.identity([1, 2]))
 
+    def test_each_single_fault_names_its_fault(self):
+        # One fault per mapping, each with the message it raises; the range
+        # and letter checks come first, then the constraint, then the arcs.
+        triangle = reduce_theorem1(TRIANGLE, 1)
+        mismatched = triangle._replace(a2=AnnotatedSequence("aba"))
+        cases = [
+            (triangle, Mapping.identity([4]), "mapping pair (4, 4) outside the sequences"),
+            (mismatched, Mapping.identity([2]),
+             "mapping pair (2, 2) matches different letters ('a' vs 'b')"),
+            (triangle, Mapping(((1, 2),)),
+             "mapping pair (1, 2) violates fragment(1)"),
+            (triangle, Mapping.identity([1, 2]), "mapping is not arc-preserving for this instance"),
+        ]
+        for inst, m, message in cases:
+            with pytest.raises(ValidationError) as info:
+                extract_independent_set(inst, m)
+            assert str(info.value) == message
+
+    def test_the_mapping_is_validated_once(self, monkeypatch):
+        calls = []
+
+        def counted(m, a1, a2):
+            calls.append(m)
+            return validate(m, a1, a2)
+
+        validate = core.validate_mapping
+        monkeypatch.setattr(core, "validate_mapping", counted)
+        # Also under the name that reductions would import it by.
+        monkeypatch.setattr(reductions, "validate_mapping", counted, raising=False)
+        m = Mapping.identity([2])
+        assert extract_independent_set(reduce_theorem1(TRIANGLE, 1), m) == {2}
+        assert calls == [m]
+
     def test_round_trip_through_witness_mappings(self):
         # Identity mapping on a maximum independent set is always a valid
         # witness for the single-letter construction; extraction inverts it.

@@ -1,9 +1,13 @@
 """Solver correctness against brute-force oracles and frozen examples."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import string
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -12,28 +16,33 @@ from arcseq import (
     AnnotatedSequence,
     BudgetError,
     CapabilityError,
+    Graph,
     InstanceError,
     Mapping,
     MatchConstraint,
     SearchBudget,
+    SolveResult,
     StructureLevel,
     ValidationError,
     WrongSolverError,
     build_conflict_graph,
+    classify_structure,
     diagonal_conflict_solve,
     exact_search,
     is_arc_preserving,
     lcs_dp,
     solve,
 )
-from arcseq import reduce_theorem1, reduce_theorem2, solvers
-from arcseq.formats import parse_annotated_sequence
+from arcseq import cli, reduce_theorem1, reduce_theorem2, solvers
+from arcseq.formats import parse_annotated_sequence, save_annotated_sequence
 from arcseq.generate import exhaustive_graphs, random_annotated_sequence, random_arcs, random_graph
 from arcseq.mis import NeighborMasks
 from arcseq.solvers import _suffix_lcs_rows
+from arcseq.sweep import SweepConfig, run_sweep
 
 from oracles import (
     adjacency,
+    both_children_stacked_lexmin_mis,
     brute_identity_lapcs,
     brute_lapcs,
     brute_lcs,
@@ -388,7 +397,8 @@ class TestDiagonalConflictSolve:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            diagonal_conflict_solve(a1, a2)
+            # The witness is built on its first read, so the window reads it.
+            diagonal_conflict_solve(a1, a2).witness
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -932,3 +942,182 @@ class TestCrossSolverAgreement:
                 checked = Mapping(list(w.pairs)[::-1])
                 assert w == checked and repr(w) == repr(checked)
                 assert isinstance(w.pairs, tuple) and len(w) == result.length
+
+
+def identity_routes(a1, a2):
+    """The identity solvers that answer (a1, a2), each as a call that gives
+    a fresh result: exact_search's identity route, and the lane unless it
+    declines."""
+    routes = [lambda: exact_search(a1, a2, FRAG1, SearchBudget(max_identity_length=2000))]
+    try:
+        diagonal_conflict_solve(a1, a2)
+    except CapabilityError:
+        return routes
+    return routes + [lambda: diagonal_conflict_solve(a1, a2)]
+
+
+class TestDeferredWitness:
+    def test_results_behave_as_eagerly_built_ones(self):
+        # Each operation is the first read of a fresh result's witness.
+        pairs = [(AnnotatedSequence(""), AnnotatedSequence("")),
+                 (AnnotatedSequence("ab"), AnnotatedSequence("ba"))]
+        pairs += identity_stat_instances()
+        seen = 0
+        for a1, a2 in pairs:
+            for route in identity_routes(a1, a2):
+                ref = route()
+                eager = SolveResult(ref.length, Mapping(ref.witness.pairs), ref.stats)
+                assert route() == eager and eager == route()
+                assert repr(route()) == repr(eager)
+                for value in (route(), eager):
+                    with pytest.raises(TypeError, match="^unhashable type: 'dict'$"):
+                        hash(value)
+                copied = copy.copy(route())
+                assert vars(copied) == vars(eager) and copied == eager
+                assert pickle.dumps(route()) == pickle.dumps(eager)
+                assert vars(pickle.loads(pickle.dumps(route()))) == vars(eager)
+                seen += 1
+        assert seen == 52
+
+    def test_two_reads_return_one_witness(self):
+        a1 = AnnotatedSequence("baabbaab", {(1, 4), (5, 8), (3, 6)})
+        a2 = AnnotatedSequence("baabbaab", {(1, 4), (5, 8)})
+        for route in identity_routes(a1, a2):
+            r = route()
+            assert r.witness is r.witness
+            assert r.witness.pairs == tuple((p, p) for p in (1, 2, 3, 4, 5, 7, 8))
+            with pytest.raises(AttributeError) as info:
+                r.solver
+            assert str(info.value) == "'SolveResult' object has no attribute 'solver'"
+
+    def test_concurrent_first_reads_get_one_witness(self):
+        # One conflict path through all 1,200 positions.
+        a1 = AnnotatedSequence("a" * 1200, {(p, p + 1) for p in range(1, 1200, 2)})
+        a2 = AnnotatedSequence("a" * 1200, {(p, p + 1) for p in range(2, 1200, 2)})
+        expected = Mapping.identity(range(1, 1200, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for route in identity_routes(a1, a2):
+                r = route()
+                start = threading.Barrier(8, timeout=10)
+                got = []
+
+                def read():
+                    start.wait()
+                    got.append(r.witness)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(got) == 8 and all(w is got[0] for w in got)
+                assert got[0] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_sweeps_build_no_witness_and_the_cli_builds_one(self, monkeypatch, tmp_path, capsys):
+        built = []
+
+        def counted(positions):
+            built.append(positions)
+            return build(positions)
+
+        build = solvers._identity_witness
+        monkeypatch.setattr(solvers, "_identity_witness", counted)
+        lane_answers = []
+
+        def lane(a1, a2):
+            lane_answers.append(diagonal_conflict_solve(a1, a2))
+            return lane_answers[-1]
+
+        monkeypatch.setattr(solvers, "diagonal_conflict_solve", lane)
+        for theorem in ("T1", "T2"):
+            assert run_sweep(SweepConfig(theorem, (1, 4))).rows
+        # Neither the lane's answers nor the exact route's solves (the T1
+        # pairs the lane declines, and the spot checks) build a witness.
+        assert len(lane_answers) > 100 and built == []
+
+        for inst, solver in ((reduce_theorem2(Graph(2, {(1, 2)}), 1), "diagonal_conflict"),
+                             (reduce_theorem1(Graph(4, itertools.combinations(range(1, 5), 2)), 1),
+                              "exact_search")):
+            assert solve(inst.a1, inst.a2, FRAG1).stats["solver"] == solver
+            paths = [str(tmp_path / name) for name in ("a1.txt", "a2.txt")]
+            save_annotated_sequence(inst.a1, paths[0])
+            save_annotated_sequence(inst.a2, paths[1])
+            built.clear()
+            capsys.readouterr()
+            assert cli.main(["solve", *paths, "--fragment", "1"]) == 0
+            assert len(built) == 1
+            out = capsys.readouterr().out.splitlines()
+            assert int(out[0]) == len(out) - 1 == len(built[0]) > 0
+
+
+def crossing_arc_sets(n):
+    """Every arc set on positions 1..n whose arcs share no endpoint: the
+    arc sets within crossing."""
+    def extend(free):
+        if not free:
+            yield frozenset()
+            return
+        first, rest = free[0], free[1:]
+        yield from extend(rest)
+        for partner in rest:
+            for arcs in extend([p for p in rest if p != partner]):
+                yield arcs | {(first, partner)}
+
+    return list(extend(list(range(1, n + 1))))
+
+
+def assert_the_lane_answers(a1, a2, expected):
+    """The lane takes (a1, a2) under fragment(1) and under diagonal(0), and
+    gives the expected (size, members)."""
+    lane = diagonal_conflict_solve(a1, a2)
+    assert (lane.length, lane.witness) == (expected[0], Mapping.identity(expected[1]))
+    for mc in (FRAG1, MatchConstraint.diagonal(0)):
+        r = solve(a1, a2, mc)
+        assert r.stats["solver"] == "diagonal_conflict" and r == lane
+
+
+class TestCrossingPairsStayInTheLane:
+    # Within crossing a position ends at most one arc a side, so the
+    # conflict graph has degree <= 2 and the lane never declines.
+    def test_every_pair_of_crossing_arc_sets_on_six_positions(self):
+        arc_sets = crossing_arc_sets(6)
+        assert len(arc_sets) == 76
+        assert all(classify_structure(arcs, 6) <= StructureLevel.CROSSING for arcs in arc_sets)
+        for arcs1, arcs2 in itertools.product(arc_sets, repeat=2):
+            a1, a2 = AnnotatedSequence("a" * 6, arcs1), AnnotatedSequence("a" * 6, arcs2)
+            cands, edges, _ = conflict_graph_by_definition(a1, a2)
+            assert_the_lane_answers(a1, a2, brute_lexmin_independent_set(cands, edges))
+
+    def test_seeded_crossing_pairs_up_to_length_40(self):
+        rng = random.Random(4011)
+        lengths, degree_two = set(), 0
+        for _ in range(1000):
+            n = rng.randint(0, 40)
+            a1, a2 = (
+                random_annotated_sequence(rng, n, "ab", StructureLevel.CROSSING,
+                                          rng.uniform(0.2, 0.5))
+                for _ in range(2)
+            )
+            cands, _, neighbours = conflict_graph_by_definition(a1, a2)
+            assert_the_lane_answers(a1, a2, both_children_stacked_lexmin_mis(cands, neighbours)[:2])
+            lengths.add(n)
+            degree_two += any(len(nb) == 2 for nb in neighbours.values())
+        assert {0, 40} <= lengths and degree_two > 400
+
+    def test_every_t2_case_two_instance_up_to_n5_is_a_lane_instance(self):
+        # The arcs do not depend on k in case II, so k = 1 stands for each k.
+        seen = 0
+        for n in range(1, 6):
+            for _, g in exhaustive_graphs(n):
+                inst = reduce_theorem2(g, 1)
+                assert inst.provenance.case == "II"
+                assert classify_structure(inst.a1.arcs, len(inst.a1)) <= StructureLevel.CROSSING
+                assert classify_structure(inst.a2.arcs, len(inst.a2)) <= StructureLevel.CHAIN
+                assert solve(inst.a1, inst.a2, inst.mc).stats["solver"] == "diagonal_conflict"
+                seen += 1
+        assert seen == 1099
