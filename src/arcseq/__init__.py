@@ -24,7 +24,6 @@ from .errors import (
     BudgetError,
     CapabilityError,
     FormatError,
-    InstanceError,
     ValidationError,
     WrongSolverError,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "BudgetError",
     "CapabilityError",
     "FormatError",
-    "InstanceError",
     "ValidationError",
     "WrongSolverError",
     "EquivalenceReport",

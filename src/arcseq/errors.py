@@ -3,7 +3,6 @@
 __all__ = [
     "ArcseqError",
     "ValidationError",
-    "InstanceError",
     "WrongSolverError",
     "CapabilityError",
     "BudgetError",
@@ -17,10 +16,6 @@ class ArcseqError(Exception):
 
 class ValidationError(ArcseqError, ValueError):
     """An object or argument violates its declared invariants."""
-
-
-class InstanceError(ArcseqError):
-    """Two inputs are individually valid but incompatible with each other."""
 
 
 class WrongSolverError(ArcseqError):

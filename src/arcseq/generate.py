@@ -6,7 +6,6 @@ reproduce identical instances.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterator
 
 from .core import AnnotatedSequence, Arc, StructureLevel

@@ -38,8 +38,8 @@ budget error that stopped them. A row reads its graph, theorem, budget and
 
 from __future__ import annotations
 
+import _thread
 import functools
-import threading
 import warnings
 from collections import namedtuple
 from collections.abc import Iterable
@@ -245,7 +245,7 @@ class ReductionInstance(
 # The same-position constraint of both constructions.
 _IDENTITY = MatchConstraint.fragment(1)
 # Held while edges are admitted to a blocked frame's memo.
-_ADMITTING = threading.Lock()
+_ADMITTING = _thread.allocate_lock()
 
 
 def _check(cond: bool, what: str) -> None:

@@ -16,7 +16,8 @@ Three routes, all exact:
 * :func:`exact_search` -- pruned exhaustive search, the universal
   small-instance oracle. Its identity route solves the graph of
   :func:`build_conflict_graph`; both identity routes read their conflict
-  edges from :func:`_conflict_edges`.
+  edges from :func:`_conflict_edges`, over the common prefix of two
+  sequences of any lengths.
 
 :func:`solve` dispatches between them. Every solver returns the
 lexicographically smallest optimal witness (pair list sorted by S1 position,
@@ -30,7 +31,7 @@ from itertools import compress, count
 from operator import eq
 
 from .core import AnnotatedSequence, Mapping, MatchConstraint, _Record, _require_int, _trusted
-from .errors import BudgetError, CapabilityError, InstanceError, ValidationError, WrongSolverError
+from .errors import BudgetError, CapabilityError, ValidationError, WrongSolverError
 from .mis import NeighborMasks, lexmin_maximum_independent_set
 
 __all__ = [
@@ -242,7 +243,8 @@ def _conflict_edges(
 
     Returns (flags, arcs): flags[p] is 1 exactly when p is a candidate,
     S1[p] = S2[p] (flags[0] is 0), and arcs holds the arcs of exactly one
-    side. The conflict edges are the arcs whose two ends are candidates.
+    side. The conflict edges are the arcs whose two ends are candidates, so
+    an arc that ends past the common prefix, and past flags, adds none.
     Equal sequences, which both reductions build, make every position a
     candidate after one string comparison.
     """
@@ -283,7 +285,8 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
 
     Under fragment(1)/diagonal(0) only positions p with S1[p] = S2[p] can be
     matched, and a set of matched positions is feasible exactly when it is
-    independent in the conflict graph. When both arc sets keep endpoints
+    independent in the conflict graph, :func:`build_conflict_graph`'s graph
+    over the common prefix. When both arc sets keep endpoints
     disjoint, every vertex has at most one incident arc per side, so the
     conflict graph decomposes into paths and cycles and the maximum
     independent set is computed component by component (the optimum equals
@@ -299,16 +302,16 @@ def diagonal_conflict_solve(a1: AnnotatedSequence, a2: AnnotatedSequence) -> Sol
     witness (:func:`_lexmin_path_mis`) is a closed form for any odd path
     (its even offsets); only an even path takes one scan along the walk.
     The chosen vertices are marked in a byte per position and read off in
-    ascending order, so no sort is needed.
+    ascending order, so no sort is needed. The candidate flags are padded
+    with zeros to the longer sequence, so the slots cover every arc, and an
+    arc that ends past the common prefix ends on a non-candidate.
 
     Raises:
-        InstanceError: unequal sequence lengths.
         CapabilityError: some conflict vertex has degree > 2 (use
             exact_search for those instances).
     """
-    if len(a1) != len(a2):
-        raise InstanceError(f"conflict graph needs equal lengths, got {len(a1)} and {len(a2)}")
-    take, stats = _degree2_mis(*_conflict_edges(a1, a2))
+    flags, arcs = _conflict_edges(a1, a2)
+    take, stats = _degree2_mis(flags.ljust(max(len(a1), len(a2)) + 1, b"\0"), arcs)
     # The witness is built after _degree2_mis has returned and freed the
     # arc set: its pairs set off young collections, which would traverse it.
     return _trusted(SolveResult, length=take.count(1), stats=stats, _chosen=take)
@@ -536,7 +539,7 @@ def solve(
     """Route an instance to the cheapest applicable exact solver.
 
     Arc-free unconstrained instances go to lcs_dp; identity-constrained
-    equal-length instances go to diagonal_conflict_solve, which decides
+    instances, of any lengths, go to diagonal_conflict_solve, which decides
     whether the conflict degree allows it; everything else, and every
     instance it declines, goes to exact_search. The lane is skipped when
     equal sequences carry more conflict arcs than positions, which forces a
@@ -545,7 +548,8 @@ def solve(
     budget = _resolve_budget(budget)
     if not a1.arcs and not a2.arcs and mc.kind == "unconstrained":
         return lcs_dp(a1, a2)
-    if mc.forces_identity() and (n := len(a1)) == len(a2):
+    if mc.forces_identity():
+        n = len(a1)
         if len(a1.arcs) + len(a2.arcs) <= n or a1.seq != a2.seq or len(a1.arcs ^ a2.arcs) <= n:
             try:
                 return diagonal_conflict_solve(a1, a2)

@@ -12,7 +12,6 @@ configuration and seed.
 from __future__ import annotations
 
 import json
-import random
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -154,6 +153,7 @@ def _iter_graphs(cfg: SweepConfig) -> Iterator[tuple[str, Graph]]:
             for mask, g in exhaustive_graphs(n):
                 yield f"g{n}-{mask}", g
     else:
+        import random
         rng = random.Random(cfg.seed)
         for n in range(lo, hi + 1):
             for idx in range(cfg.random_count):

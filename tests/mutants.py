@@ -334,13 +334,19 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "lane-length-unchecked",
+        "lane-prefix-unpadded",
         "solvers.py",
-        "    if len(a1) != len(a2):\n"
-        '        raise InstanceError(f"conflict graph needs equal lengths, got {len(a1)} and '
-        '{len(a2)}")\n',
-        "",
+        'take, stats = _degree2_mis(flags.ljust(max(len(a1), len(a2)) + 1, b"\\0"), arcs)\n',
+        "take, stats = _degree2_mis(flags, arcs)\n",
         ("tests/test_solvers.py::TestDiagonalConflictSolve::test_length_mismatch",),
+        "killed",
+    ),
+    Mutant(
+        "lane-declines-degree-two",
+        "solvers.py",
+        "        if dp | dq > 1:\n",
+        "        if dp | dq > 0:\n",
+        ("tests/test_solvers.py::TestCrossingPairsStayInTheLane",),
         "killed",
     ),
     Mutant(

@@ -95,6 +95,17 @@ class TestSolve:
         assert main(["solve", str(f1), str(f2), "--fragment", "1"]) == 0
         assert capsys.readouterr().out == "2\n1 1\n2 2\n"
 
+    def test_unequal_identity_pair_beyond_the_search_budget(self, tmp_path, capsys):
+        # 81 positions against 80, past the exact search's 64-position
+        # identity budget: the degree-2 lane solves the common prefix, and
+        # arc (1, 81) ends past it.
+        f1, f2 = tmp_path / "long.txt", tmp_path / "short.txt"
+        f1.write_text("ab" * 40 + "a\n1 81\n")
+        f2.write_text("ab" * 40 + "\n")
+        assert main(["solve", str(f1), str(f2), "--diagonal", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out == "80\n" + "".join(f"{p} {p}\n" for p in range(1, 81))
+
     def test_constraint_flag_required(self, tmp_path, capsys):
         f = tmp_path / "s.txt"
         f.write_text("ab\n")

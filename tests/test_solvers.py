@@ -17,7 +17,6 @@ from arcseq import (
     BudgetError,
     CapabilityError,
     Graph,
-    InstanceError,
     Mapping,
     MatchConstraint,
     SearchBudget,
@@ -461,10 +460,39 @@ class TestDiagonalConflictSolve:
         assert got == [(v, v, v) for v in DECLINED_VERTEX_PINS]
 
     def test_length_mismatch(self):
-        # Its flat slots cover equal lengths only, unlike the conflict graph.
-        with pytest.raises(InstanceError) as info:
-            diagonal_conflict_solve(AnnotatedSequence("ab"), AnnotatedSequence("abc"))
-        assert str(info.value) == "conflict graph needs equal lengths, got 2 and 3"
+        # Unequal lengths: the lane solves the common prefix's conflict graph,
+        # the graph of the exhaustive identity route, and an arc that ends
+        # past the prefix adds no edge. Every answer it gives is the route's
+        # and the unpruned oracle's.
+        r = diagonal_conflict_solve(AnnotatedSequence("ab"), AnnotatedSequence("abc"))
+        assert (r.length, r.witness.pairs) == (2, ((1, 1), (2, 2)))
+        rng = random.Random(33)
+        budget = SearchBudget(max_identity_length=14)
+        shapes = {"answered": 0, "declined": 0, "past the prefix": 0}
+        levels = set()
+        for _ in range(240):
+            n1 = rng.randint(0, 14)
+            n2 = rng.choice([n for n in range(15) if n != n1])
+            level = rng.choice(list(StructureLevel))
+            unlimited = level is StructureLevel.UNLIMITED
+            density = rng.uniform(0.3, 1.5) if unlimited else rng.uniform(0.2, 0.6)
+            a1, a2 = (random_annotated_sequence(rng, n, "ab", level, density) for n in (n1, n2))
+            past = any(q > min(n1, n2) for _, q in a1.arcs | a2.arcs)
+            try:
+                lane = diagonal_conflict_solve(a1, a2)
+            except CapabilityError:
+                shapes["declined"] += 1
+                continue
+            search = exact_search(a1, a2, FRAG1, budget)
+            assert (lane.length, lane.witness, lane.stats["candidates"]) == (
+                search.length, search.witness, search.stats["candidates"])
+            assert lane.length == brute_lapcs(a1, a2, FRAG1)
+            check_witness(lane, a1, a2, FRAG1)
+            shapes["answered"] += 1
+            shapes["past the prefix"] += past
+            levels.add(level)
+        assert shapes["answered"] >= 200 and shapes["past the prefix"] >= 100
+        assert shapes["declined"] >= 1 and levels == set(StructureLevel)
 
     def test_degree_three_refused(self):
         a1 = AnnotatedSequence("aaaa", {(1, 2), (1, 3), (1, 4)})
@@ -812,22 +840,38 @@ class TestSolveDispatch:
         assert r.length == 3
 
     def test_unequal_lengths_identity_falls_back_to_search(self):
+        # Unequal lengths take the lane like equal ones; the exact search
+        # gives the same answer, and takes a pair whose prefix holds a
+        # vertex of degree 3.
         a1 = AnnotatedSequence("abcx")
         a2 = AnnotatedSequence("abc")
         r = solve(a1, a2, FRAG1)
-        assert r.stats["solver"] == "exact_search"
+        assert r.stats["solver"] == "diagonal_conflict"
         assert r.length == 3
+        assert r.witness == exact_search(a1, a2, FRAG1).witness == Mapping.identity((1, 2, 3))
+        assert r.stats["candidates"] == 3
 
         # Arc (3, 4) reaches past the common prefix, so it adds no conflict.
         a1 = AnnotatedSequence("aaaa", {(1, 2), (3, 4)})
         a2 = AnnotatedSequence("aaa", {(2, 3)})
         for mc in (FRAG1, MatchConstraint.diagonal(0)):
             assert brute_lapcs(a1, a2, mc) == 2
-            for r in (solve(a1, a2, mc), exact_search(a1, a2, mc)):
-                assert r.stats["solver"] == "exact_search"
+            for r, solver in ((solve(a1, a2, mc), "diagonal_conflict"),
+                              (exact_search(a1, a2, mc), "exact_search")):
+                assert r.stats["solver"] == solver
                 assert r.length == 2
                 assert r.witness.pairs == ((1, 1), (3, 3))
                 assert r.stats["candidates"] == 3
+
+        # Vertex 1 has three neighbours; arc (5, 6) ends past the prefix.
+        a1 = AnnotatedSequence("aaaaaa", {(1, 2), (1, 3), (1, 4), (5, 6)})
+        a2 = AnnotatedSequence("aaaaa")
+        with pytest.raises(CapabilityError, match="conflict vertex 1 "):
+            diagonal_conflict_solve(a1, a2)
+        r = solve(a1, a2, FRAG1)
+        assert r.stats["solver"] == "exact_search"
+        assert (r.length, r.witness.pairs) == (4, ((2, 2), (3, 3), (4, 4), (5, 5)))
+        assert r.length == brute_lapcs(a1, a2, FRAG1)
 
     def test_arcs_with_unconstrained_use_search(self):
         a1 = AnnotatedSequence("abab", {(1, 3)})
@@ -1121,3 +1165,20 @@ class TestCrossingPairsStayInTheLane:
                 assert solve(inst.a1, inst.a2, inst.mc).stats["solver"] == "diagonal_conflict"
                 seen += 1
         assert seen == 1099
+
+
+def test_both_identity_constraints_agree_on_every_reduced_instance_up_to_n5():
+    # The paper states each claim under fragment(1) and diagonal(0); the
+    # sweep measures fragment(1). One instance per graph and case: T1, T2
+    # case II (k = 1) and T2 case I (k = n + 1); the arcs do not depend on k
+    # within a case.
+    diagonal = MatchConstraint.diagonal(0)
+    routes = {"diagonal_conflict": 0, "exact_search": 0}
+    for n in range(1, 6):
+        for _, g in exhaustive_graphs(n):
+            for inst in (reduce_theorem1(g, 1), reduce_theorem2(g, 1), reduce_theorem2(g, n + 1)):
+                r = solve(inst.a1, inst.a2, FRAG1)
+                # Length, witness and stats, the solver's name among them.
+                assert solve(inst.a1, inst.a2, diagonal) == r
+                routes[r.stats["solver"]] += 1
+    assert routes == {"diagonal_conflict": 2503, "exact_search": 794}
